@@ -1,9 +1,11 @@
 //! # epic-bench
 //!
-//! Benchmark targets regenerating every table and figure of the paper
-//! (DESIGN.md §4 maps each `[[bench]]` target to its artifact), plus a
-//! criterion microbenchmark suite (`microbench`) for the building blocks:
-//! allocator fast paths, SMR per-operation overheads, and tree operations.
+//! The three microbenchmark targets for the building blocks: `microbench`
+//! (criterion suite — allocator fast paths, SMR per-operation overheads,
+//! tree operations), `microbench_retire` (the zero-allocation retire
+//! pipeline, DESIGN.md §2.4) and `microbench_handle` (the per-hop
+//! protection protocol, DESIGN.md §7).
 //!
-//! All experiment benches honor the `EPIC_*` environment variables
-//! documented in `epic-harness`.
+//! The paper's tables and figures are not bench targets: every experiment
+//! runs through `epic-run <id>` (DESIGN.md §4), which stamps provenance
+//! and writes the result JSON.

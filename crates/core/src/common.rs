@@ -233,7 +233,7 @@ impl SchemeCommon {
         let n = batch.len() as u64;
         let t0 = now_ns();
         while let Some(r) = batch.pop() {
-            self.dealloc_recorded(tid, r);
+            self.dealloc_one(tid, r);
         }
         let t1 = now_ns();
         let c = self.stats.get(tid);
@@ -381,13 +381,6 @@ impl SchemeCommon {
         } else {
             self.alloc.dealloc(tid, r.ptr);
         }
-    }
-
-    /// Like [`dealloc_one`](Self::dealloc_one) (separate name so batch and
-    /// tick paths read clearly at call sites).
-    #[inline]
-    fn dealloc_recorded(&self, tid: Tid, r: crate::Retired) {
-        self.dealloc_one(tid, r);
     }
 
     /// A copy of `tid`'s adaptive controller in [`FreeMode::Adaptive`]

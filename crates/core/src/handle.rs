@@ -1,12 +1,14 @@
 //! The thread-bound protection API: [`Smr`] → [`SmrHandle`] → [`OpGuard`].
 //!
-//! The raw [`RawSmr`] trait threads a [`Tid`] through every
-//! hot-path call, and each scheme re-indexes its per-thread slot arrays on
-//! every `protect`. This module resolves that per-thread state **once**, at
-//! [`Smr::register`], into a [`SchemeLocal`] — cached pointers to the
-//! thread's own hazard/era slots, reservation cell, or restart counter —
-//! so the per-hop protocol ([`OpGuard::protect_load`]) runs with no `tid`
-//! arithmetic and no dyn dispatch.
+//! The raw [`RawSmr`] trait threads a [`Tid`] through every call, which
+//! on a per-hop path would mean re-indexing the scheme's per-thread slot
+//! arrays at every link. This module resolves that per-thread state
+//! **once**, at [`Smr::register`], into a [`SchemeLocal`] — cached
+//! pointers to the thread's own hazard/era slots, reservation cell, or
+//! restart counter — so the per-hop protocol ([`OpGuard::protect_load`])
+//! runs with no `tid` arithmetic and no dyn dispatch. The trait carries no
+//! per-hop method of its own: the [`SchemeLocal`] variant a scheme returns
+//! is the single declaration of which protocol it needs.
 //!
 //! The protocol itself (§3 of the paper: publish → re-read/validate →
 //! write phase → retire) lives here in exactly one place:
@@ -70,7 +72,7 @@ pub struct SchemeLocal(Local);
 /// The variants, private so safe code cannot forge a pointer-carrying
 /// value (see [`SchemeLocal`]).
 enum Local {
-    /// `protect` is a no-op and links never need re-validation
+    /// Nothing to publish and links never need re-validation
     /// (epoch/token/QSBR/leak schemes): the grace period covers the whole
     /// operation.
     Passive,
@@ -110,9 +112,22 @@ enum Local {
 }
 
 impl SchemeLocal {
-    /// Fast path for schemes whose `protect` is a no-op.
+    /// Fast path for schemes with nothing to publish per hop (the
+    /// [`RawSmr::local`] default).
     pub fn passive() -> Self {
         SchemeLocal(Local::Passive)
+    }
+
+    /// True for the slot/era variants, whose protected targets can be
+    /// retired mid-operation so every hop re-reads its link until stable.
+    fn validating(&self) -> bool {
+        matches!(
+            self.0,
+            Local::HazardSlots { .. }
+                | Local::EraSlots { .. }
+                | Local::EraSlots2 { .. }
+                | Local::EraInterval { .. }
+        )
     }
 
     /// Fast path over `slots`, the registering thread's own hazard slots.
@@ -234,10 +249,11 @@ impl Smr {
             !self.registered[tid].swap(true, Ordering::AcqRel),
             "tid {tid} is already registered; drop (or detach) its SmrHandle first"
         );
+        let local = self.raw.local(tid);
         SmrHandle {
             alloc: Arc::clone(self.raw.allocator()),
-            local: self.raw.local(tid),
-            validating: self.raw.needs_validate(),
+            validating: local.validating(),
+            local,
             raw: Arc::clone(&self.raw),
             registered: Arc::clone(&self.registered),
             tid,
@@ -761,6 +777,22 @@ mod tests {
             let st = s.stats();
             assert_eq!(st.retired, 1, "{kind:?}");
             assert_eq!(st.freed + st.garbage, 1, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn validating_follows_the_scheme_local() {
+        // The slot/era schemes — and only they — re-validate links, which
+        // the handle derives from the `SchemeLocal` variant they return.
+        for kind in SmrKind::ALL {
+            let expected = matches!(
+                kind,
+                SmrKind::Hp | SmrKind::He | SmrKind::Ibr | SmrKind::Wfe
+            );
+            let s = smr(kind, 1);
+            let h = s.register(0);
+            assert_eq!(h.validating(), expected, "{kind:?}");
+            assert_eq!(h.begin_op().validating(), expected, "{kind:?}");
         }
     }
 

@@ -50,7 +50,10 @@
 //!
 //! The tid-everywhere [`RawSmr`] trait behind the facade remains the
 //! scheme-implementor surface (and the harness escape hatch for sweep
-//! construction, stats, detach and teardown) — see [`Smr::raw`].
+//! construction, stats, detach and teardown) — see [`Smr::raw`]. A scheme
+//! implements its seven required methods; everything the schemes share is
+//! provided over the embedded [`SchemeCommon`], and the per-hop protocol
+//! is chosen by the [`SchemeLocal`] the scheme returns, never re-stated.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -86,7 +89,22 @@ use std::sync::Arc;
 /// [`SmrHandle`]/[`OpGuard`] surface, which resolves
 /// [`local`](RawSmr::local) once and keeps the per-hop protocol
 /// ([`OpGuard::protect_load`]) free of tid re-indexing and dyn dispatch.
+///
+/// A scheme states only what differs from its siblings: the seven required
+/// methods below. Everything every scheme does the same way (statistics,
+/// naming, the allocator, the object pool, the amortized-free tick) is
+/// provided over [`common`](RawSmr::common), and the per-hop protection
+/// protocol is selected by the [`SchemeLocal`] that
+/// [`local`](RawSmr::local) returns — there is no second, tid-indexed
+/// copy of it on this trait.
 pub trait RawSmr: Send + Sync {
+    /// The shared state every scheme embeds; the provided methods below
+    /// are all written over it.
+    fn common(&self) -> &SchemeCommon;
+
+    /// The scheme's kind tag.
+    fn kind(&self) -> SmrKind;
+
     /// Begins a data-structure operation: publishes whatever the scheme
     /// needs (epoch announcement, token check, reservation reset) and
     /// drains the amortized-free list by the configured per-op count.
@@ -94,43 +112,6 @@ pub trait RawSmr: Send + Sync {
 
     /// Ends the operation (clears reservations, marks quiescence).
     fn end_op(&self, tid: Tid);
-
-    /// Publishes protection for the pointer about to be dereferenced.
-    /// Slot-based schemes (HP) publish `ptr`; era-based schemes (HE, IBR,
-    /// WFE) publish the current era; epoch/token schemes do nothing.
-    ///
-    /// If [`needs_validate`](RawSmr::needs_validate) returns true the
-    /// caller must re-read the link after this call and retry until stable
-    /// — [`OpGuard::protect_load`] is that loop, written once.
-    fn protect(&self, tid: Tid, slot: usize, ptr: usize);
-
-    /// True if `protect` requires the re-read-and-retry validation loop.
-    fn needs_validate(&self) -> bool;
-
-    /// Neutralization poll (NBR): returns true if the thread has been asked
-    /// to restart its operation. The caller must drop every data-structure
-    /// pointer it holds and restart from the root. Schemes without
-    /// neutralization always return false.
-    fn poll_restart(&self, tid: Tid) -> bool;
-
-    /// Declares the pointers the thread will dereference during its write
-    /// phase (NBR): after this call the thread is immune to neutralization
-    /// until `end_op`. No-op for other schemes.
-    fn enter_write_phase(&self, tid: Tid, ptrs: &[usize]);
-
-    /// Hook invoked right after allocating a node: era-based schemes stamp
-    /// the block's birth era.
-    fn on_alloc(&self, tid: Tid, ptr: NonNull<u8>);
-
-    /// Serves an allocation from the thread's object pool when the scheme
-    /// runs in [`FreeMode::Pooled`]. `None` (the default, and the answer
-    /// in every other mode) means "allocate from the allocator". Callers
-    /// must still invoke [`on_alloc`](RawSmr::on_alloc) on the returned
-    /// block.
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        let _ = (tid, size);
-        None
-    }
 
     /// Retires an unlinked node: it will be freed once no thread can hold a
     /// reference, via the configured [`FreeMode`].
@@ -148,31 +129,77 @@ pub trait RawSmr: Send + Sync {
     /// no concurrent data-structure access.
     fn quiesce_and_drain(&self);
 
+    /// The scheme's per-thread fast path for `tid`, captured by
+    /// [`Smr::register`]; it selects the protocol
+    /// [`OpGuard::protect_load`] runs for this scheme. The default —
+    /// [`SchemeLocal::passive`] — is right for every scheme whose grace
+    /// period covers the whole operation (epoch/token/QSBR/leak).
+    /// Slot/era schemes return a pointer-caching variant, which must stay
+    /// valid for the scheme's lifetime and reference only state owned by
+    /// `tid` (plus global clocks).
+    fn local(&self, tid: Tid) -> SchemeLocal {
+        let _ = tid;
+        SchemeLocal::passive()
+    }
+
+    /// Hook invoked right after allocating a node. The default runs the
+    /// amortized-free tick; era-based schemes additionally stamp the
+    /// block's birth era.
+    fn on_alloc(&self, tid: Tid, ptr: NonNull<u8>) {
+        let _ = ptr;
+        self.common().tick(tid);
+    }
+
+    /// Neutralization poll (NBR): returns true if the thread has been asked
+    /// to restart its operation. The caller must drop every data-structure
+    /// pointer it holds and restart from the root. Schemes without
+    /// neutralization keep the default (never).
+    fn poll_restart(&self, tid: Tid) -> bool {
+        let _ = tid;
+        false
+    }
+
+    /// Declares the pointers the thread will dereference during its write
+    /// phase (NBR): after this call the thread is immune to neutralization
+    /// until `end_op`. No-op for other schemes.
+    fn enter_write_phase(&self, tid: Tid, ptrs: &[usize]) {
+        let _ = (tid, ptrs);
+    }
+
+    /// Serves an allocation from the thread's object pool when the scheme
+    /// runs in [`FreeMode::Pooled`]. `None` (the answer in every other
+    /// mode) means "allocate from the allocator". Callers must still
+    /// invoke [`on_alloc`](RawSmr::on_alloc) on the returned block.
+    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
+        self.common().pool_alloc(tid, size)
+    }
+
     /// Aggregated scheme statistics.
-    fn stats(&self) -> SmrSnapshot;
+    fn stats(&self) -> SmrSnapshot {
+        self.common().stats.snapshot()
+    }
 
     /// Resets statistics between trials.
-    fn reset_stats(&self);
+    fn reset_stats(&self) {
+        self.common().stats.reset();
+    }
 
     /// Scheme name including the free-mode suffix (e.g. `"debra_af"`).
     /// Cached at construction — hot per-trial stats paths may call this
     /// freely.
-    fn name(&self) -> &str;
-
-    /// The scheme's kind tag.
-    fn kind(&self) -> SmrKind;
+    fn name(&self) -> &str {
+        self.common().name()
+    }
 
     /// Number of participating threads (dense tids `0..max_threads`).
-    fn max_threads(&self) -> usize;
-
-    /// The scheme's per-thread fast path for `tid`, captured by
-    /// [`Smr::register`]. The returned [`SchemeLocal`] must stay valid for
-    /// the scheme's lifetime and reference only state owned by `tid` (plus
-    /// global clocks).
-    fn local(&self, tid: Tid) -> SchemeLocal;
+    fn max_threads(&self) -> usize {
+        self.common().n_threads()
+    }
 
     /// The allocator this scheme frees through.
-    fn allocator(&self) -> &Arc<dyn PoolAllocator>;
+    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
+        &self.common().alloc
+    }
 }
 
 /// Identifies a reclamation scheme (the paper's ten plus the token

@@ -15,7 +15,6 @@
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
-use crate::smr_stats::SmrSnapshot;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicU64, Ordering};
@@ -95,6 +94,10 @@ impl HeSmr {
 }
 
 impl RawSmr for HeSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
     }
@@ -105,36 +108,11 @@ impl RawSmr for HeSmr {
         }
     }
 
-    fn protect(&self, tid: Tid, slot: usize, _ptr: usize) {
-        debug_assert!(slot < self.k);
-        let e = self.era.load(Ordering::SeqCst);
-        let s = &self.slots[tid * self.k + slot];
-        if s.load(Ordering::Relaxed) != e {
-            // SeqCst: publication must precede the caller's validating
-            // re-read of the link.
-            s.store(e, Ordering::SeqCst);
-        }
-    }
-
-    fn needs_validate(&self) -> bool {
-        true
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
     fn on_alloc(&self, tid: Tid, ptr: NonNull<u8>) {
         self.common.tick(tid);
         // SAFETY: ptr is a live block from this scheme's allocator (trait
         // contract).
         unsafe { block::set_birth_era(ptr, self.era.load(Ordering::SeqCst)) };
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
     }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
@@ -175,22 +153,6 @@ impl RawSmr for HeSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
     fn local(&self, tid: Tid) -> SchemeLocal {
         // SAFETY: era clock and slot array are owned by self (boxed /
         // inline, stable addresses) and outlive every handle via the Arc.
@@ -200,15 +162,13 @@ impl RawSmr for HeSmr {
     fn kind(&self) -> SmrKind {
         SmrKind::He
     }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::AtomicUsize;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize, era_freq: usize) -> (Arc<dyn PoolAllocator>, Arc<HeSmr>) {
@@ -238,8 +198,9 @@ mod tests {
     fn reserved_era_blocks_reclaim() {
         let (alloc, smr) = setup(2, 8, 2);
         // Thread 1 publishes the current era and parks.
-        smr.begin_op(1);
-        smr.protect(1, 0, 0);
+        let h1 = Smr::from_raw(smr.clone()).register(1);
+        let g1 = h1.begin_op();
+        g1.protect_load(0, &AtomicUsize::new(0)).unwrap();
         // Thread 0 churns: everything it retires is born/retired in eras
         // >= thread 1's reservation... so objects whose lifetime covers
         // the reserved era are kept.
@@ -258,7 +219,7 @@ mod tests {
         assert!(s.scans > 0);
         assert!(s.garbage >= 1, "the covered object must survive: {s:?}");
         let _ = reserved;
-        smr.end_op(1);
+        drop(g1);
         smr.quiesce_and_drain();
         assert_eq!(smr.stats().garbage, 0);
     }
@@ -267,8 +228,9 @@ mod tests {
     fn objects_born_after_reservation_epoch_are_freed() {
         let (alloc, smr) = setup(2, 4, 1);
         // Thread 1 reserves era E.
-        smr.begin_op(1);
-        smr.protect(1, 0, 0);
+        let h1 = Smr::from_raw(smr.clone()).register(1);
+        let g1 = h1.begin_op();
+        g1.protect_load(0, &AtomicUsize::new(0)).unwrap();
         // Era moves past E via retires; objects born *later* than E and
         // retired later are unreachable by thread 1's reservation... they
         // free despite the standing reservation.
@@ -285,25 +247,25 @@ mod tests {
             "later-born objects must be reclaimable: {:?}",
             smr.stats()
         );
-        smr.end_op(1);
+        drop(g1);
         smr.quiesce_and_drain();
     }
 
     #[test]
     fn multithreaded_stress() {
-        let (alloc, smr) = setup(4, 32, 8);
+        let (_, smr) = setup(4, 32, 8);
+        let shared = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
-                let alloc = Arc::clone(&alloc);
+                let facade = shared.clone();
                 std::thread::spawn(move || {
+                    let h = facade.register(tid);
+                    let link = AtomicUsize::new(0);
                     for i in 0..3_000usize {
-                        smr.begin_op(tid);
-                        smr.protect(tid, i % 8, 0);
-                        let p = alloc.alloc(tid, 64);
-                        smr.on_alloc(tid, p);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let g = h.begin_op();
+                        g.protect_load(i % 8, &link).unwrap();
+                        let p = g.alloc(64);
+                        g.retire(p);
                     }
                 })
             })

@@ -1,8 +1,10 @@
 //! Hazard pointers (Michael, 2004) — `hp`.
 //!
 //! Per-thread announcement slots hold the addresses a thread may be about
-//! to dereference. The data structure publishes via [`crate::RawSmr::protect`]
-//! and *must* re-read the link to validate (`needs_validate() == true`);
+//! to dereference. The data structure publishes through
+//! [`OpGuard::protect_load`](crate::OpGuard::protect_load), which stores
+//! the pointer to a slot and *must* re-read the link to validate — the
+//! hazard-slot [`SchemeLocal`] returned by `local` selects that protocol;
 //! reclamation scans all slots and frees only unannounced objects.
 //!
 //! The per-read store + SeqCst fencing is exactly why the paper finds hp
@@ -13,7 +15,6 @@
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
-use crate::smr_stats::SmrSnapshot;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicUsize, Ordering};
@@ -87,6 +88,10 @@ impl HpSmr {
 }
 
 impl RawSmr for HpSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
     }
@@ -96,31 +101,6 @@ impl RawSmr for HpSmr {
         for i in 0..self.k {
             self.slots[tid * self.k + i].store(0, Ordering::Release);
         }
-    }
-
-    fn protect(&self, tid: Tid, slot: usize, ptr: usize) {
-        debug_assert!(slot < self.k, "hazard slot {slot} out of range");
-        // SeqCst: the announcement must be ordered before the caller's
-        // validating re-read of the link (Michael's protocol).
-        self.slots[tid * self.k + slot].store(ptr, Ordering::SeqCst);
-    }
-
-    fn needs_validate(&self) -> bool {
-        true
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
-    fn on_alloc(&self, tid: Tid, _ptr: NonNull<u8>) {
-        self.common.tick(tid);
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
     }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
@@ -157,22 +137,6 @@ impl RawSmr for HpSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
     fn local(&self, tid: Tid) -> SchemeLocal {
         // SAFETY: the slot array is owned by self, boxed (stable address),
         // and outlives every handle via the facade's Arc.
@@ -182,32 +146,34 @@ impl RawSmr for HpSmr {
     fn kind(&self) -> SmrKind {
         SmrKind::Hp
     }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FreeMode;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
-    fn setup(n: usize, bag_cap: usize) -> (Arc<dyn PoolAllocator>, Arc<HpSmr>) {
+    /// The allocator, the concrete scheme (slot inspection) and the facade
+    /// over it (the live `protect_load` path).
+    fn setup(n: usize, bag_cap: usize) -> (Arc<dyn PoolAllocator>, Arc<HpSmr>, Smr) {
         let alloc = build_allocator(AllocatorKind::Sys, n, CostModel::zero());
         let cfg = SmrConfig::new(n).with_bag_cap(bag_cap);
         let smr = Arc::new(HpSmr::new(Arc::clone(&alloc), cfg));
-        (alloc, smr)
+        let facade = Smr::from_raw(smr.clone());
+        (alloc, smr, facade)
     }
 
     #[test]
     fn protected_object_survives_scan() {
-        let (alloc, smr) = setup(2, 4);
+        let (alloc, smr, facade) = setup(2, 4);
         let victim = alloc.alloc(0, 64);
+        let link = AtomicUsize::new(victim.as_ptr() as usize);
         // Thread 1 protects the victim.
-        smr.begin_op(1);
-        smr.protect(1, 0, victim.as_ptr() as usize);
+        let h1 = facade.register(1);
+        let g1 = h1.begin_op();
+        assert_eq!(g1.protect_load(0, &link), Ok(victim.as_ptr() as usize));
         // Thread 0 retires it plus enough filler to trigger scans.
         smr.begin_op(0);
         smr.retire(0, victim);
@@ -222,7 +188,7 @@ mod tests {
         // The victim is still protected: garbage >= 1.
         assert!(s.garbage >= 1);
         // Thread 1 releases; next scan frees the victim.
-        smr.end_op(1);
+        drop(g1);
         smr.begin_op(0);
         for _ in 0..64 {
             let filler = alloc.alloc(0, 64);
@@ -235,23 +201,20 @@ mod tests {
 
     #[test]
     fn end_op_clears_slots() {
-        let (alloc, smr) = setup(1, 2);
+        let (alloc, smr, facade) = setup(1, 2);
         let p = alloc.alloc(0, 64);
-        smr.begin_op(0);
-        smr.protect(0, 3, p.as_ptr() as usize);
-        smr.end_op(0);
+        let link = AtomicUsize::new(p.as_ptr() as usize);
+        let h = facade.register(0);
+        let g = h.begin_op();
+        g.protect_load(3, &link).unwrap();
+        assert_eq!(smr.slot_value(0, 3), p.as_ptr() as usize);
+        drop(g);
         assert!(smr.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0));
-        smr.begin_op(0);
-        smr.retire(0, p);
-        smr.end_op(0);
+        let g = h.begin_op();
+        g.retire(p);
+        drop(g);
         smr.quiesce_and_drain();
         assert_eq!(smr.stats().freed, 1);
-    }
-
-    #[test]
-    fn needs_validate_is_true() {
-        let (_, smr) = setup(1, 2);
-        assert!(smr.needs_validate());
     }
 
     #[test]
@@ -278,18 +241,19 @@ mod tests {
 
     #[test]
     fn concurrent_protect_retire_stress() {
-        let (alloc, smr) = setup(4, 16);
+        let (alloc, smr, facade) = setup(4, 16);
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
+                let facade = facade.clone();
                 let alloc = Arc::clone(&alloc);
                 std::thread::spawn(move || {
+                    let h = facade.register(tid);
                     for i in 0..3_000usize {
-                        smr.begin_op(tid);
+                        let g = h.begin_op();
                         let p = alloc.alloc(tid, 64);
-                        smr.protect(tid, i % 8, p.as_ptr() as usize);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let link = AtomicUsize::new(p.as_ptr() as usize);
+                        g.protect_load(i % 8, &link).unwrap();
+                        g.retire(p);
                     }
                 })
             })

@@ -13,7 +13,6 @@
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
-use crate::smr_stats::SmrSnapshot;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicU64, Ordering};
@@ -101,6 +100,10 @@ impl IbrSmr {
 }
 
 impl RawSmr for IbrSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         let e = self.era.load(Ordering::SeqCst);
         let r = &self.reservations[tid];
@@ -116,32 +119,10 @@ impl RawSmr for IbrSmr {
         r.hi.store(NONE, Ordering::Release);
     }
 
-    fn protect(&self, tid: Tid, _slot: usize, _ptr: usize) {
-        let e = self.era.load(Ordering::SeqCst);
-        let hi = &self.reservations[tid].hi;
-        if hi.load(Ordering::Relaxed) < e {
-            hi.store(e, Ordering::SeqCst);
-        }
-    }
-
-    fn needs_validate(&self) -> bool {
-        true
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
     fn on_alloc(&self, tid: Tid, ptr: NonNull<u8>) {
         self.common.tick(tid);
         // SAFETY: live block from this scheme's allocator.
         unsafe { block::set_birth_era(ptr, self.era.load(Ordering::SeqCst)) };
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
     }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
@@ -183,22 +164,6 @@ impl RawSmr for IbrSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
     fn local(&self, tid: Tid) -> SchemeLocal {
         // SAFETY: era clock and reservation cells are owned by self (boxed
         // / inline, stable addresses) and outlive every handle via the Arc.
@@ -208,15 +173,13 @@ impl RawSmr for IbrSmr {
     fn kind(&self) -> SmrKind {
         SmrKind::Ibr
     }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::AtomicUsize;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize, era_freq: usize) -> (Arc<dyn PoolAllocator>, Arc<IbrSmr>) {
@@ -267,39 +230,39 @@ mod tests {
 
     #[test]
     fn protect_extends_hi_only_forward() {
-        let (alloc, smr) = setup(1, 1_000_000, 1);
-        smr.begin_op(0);
+        let (_, smr) = setup(1, 1_000_000, 1);
+        let h = Smr::from_raw(smr.clone()).register(0);
+        let g = h.begin_op();
         let lo0 = smr.reservations[0].lo.load(Ordering::Relaxed);
         // Advance the era by retiring (freq 1).
         for _ in 0..5 {
-            let p = alloc.alloc(0, 64);
-            smr.on_alloc(0, p);
-            smr.retire(0, p);
+            let p = g.alloc(64);
+            g.retire(p);
         }
-        smr.protect(0, 0, 0);
+        g.protect_load(0, &AtomicUsize::new(0)).unwrap();
         let lo1 = smr.reservations[0].lo.load(Ordering::Relaxed);
         let hi1 = smr.reservations[0].hi.load(Ordering::Relaxed);
         assert_eq!(lo0, lo1, "lo never moves during an op");
         assert!(hi1 >= lo1 + 5, "hi tracks the era: lo={lo1} hi={hi1}");
-        smr.end_op(0);
+        drop(g);
         smr.quiesce_and_drain();
     }
 
     #[test]
     fn multithreaded_stress() {
-        let (alloc, smr) = setup(4, 32, 4);
+        let (_, smr) = setup(4, 32, 4);
+        let shared = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
-                let alloc = Arc::clone(&alloc);
+                let facade = shared.clone();
                 std::thread::spawn(move || {
+                    let h = facade.register(tid);
+                    let link = AtomicUsize::new(0);
                     for _ in 0..3_000 {
-                        smr.begin_op(tid);
-                        smr.protect(tid, 0, 0);
-                        let p = alloc.alloc(tid, 64);
-                        smr.on_alloc(tid, p);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let g = h.begin_op();
+                        g.protect_load(0, &link).unwrap();
+                        let p = g.alloc(64);
+                        g.retire(p);
                     }
                 })
             })

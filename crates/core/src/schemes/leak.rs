@@ -8,8 +8,7 @@
 
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
-use crate::smr_stats::SmrSnapshot;
-use crate::{RawSmr, SchemeLocal, SmrKind};
+use crate::{RawSmr, SmrKind};
 
 use epic_alloc::{PoolAllocator, Tid};
 use std::ptr::NonNull;
@@ -30,31 +29,15 @@ impl LeakSmr {
 }
 
 impl RawSmr for LeakSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
     }
 
     fn end_op(&self, _tid: Tid) {}
-
-    fn protect(&self, _tid: Tid, _slot: usize, _ptr: usize) {}
-
-    fn needs_validate(&self) -> bool {
-        false
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
-    fn on_alloc(&self, tid: Tid, _ptr: NonNull<u8>) {
-        self.common.tick(tid);
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
-    }
 
     fn retire(&self, tid: Tid, _ptr: NonNull<u8>) {
         // Count it as garbage forever: this is what "leaking" means for the
@@ -70,32 +53,8 @@ impl RawSmr for LeakSmr {
         // drops.
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
-    fn local(&self, _tid: Tid) -> SchemeLocal {
-        SchemeLocal::passive()
-    }
-
     fn kind(&self) -> SmrKind {
         SmrKind::None
-    }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
     }
 }
 

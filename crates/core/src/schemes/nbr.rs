@@ -45,7 +45,6 @@
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
-use crate::smr_stats::SmrSnapshot;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicU64, AtomicUsize, Ordering};
@@ -208,6 +207,10 @@ impl NbrSmr {
 }
 
 impl RawSmr for NbrSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
         let sh = &self.shared[tid];
@@ -232,15 +235,6 @@ impl RawSmr for NbrSmr {
         for i in 0..self.k {
             self.reservations[tid * self.k + i].store(0, Ordering::Release);
         }
-    }
-
-    fn protect(&self, _tid: Tid, _slot: usize, _ptr: usize) {
-        // Read phase is unprotected — that is NBR's whole point. The
-        // write-phase reservations go through `enter_write_phase`.
-    }
-
-    fn needs_validate(&self) -> bool {
-        false
     }
 
     fn poll_restart(&self, tid: Tid) -> bool {
@@ -288,14 +282,6 @@ impl RawSmr for NbrSmr {
         }
     }
 
-    fn on_alloc(&self, tid: Tid, _ptr: NonNull<u8>) {
-        self.common.tick(tid);
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
-    }
-
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
         self.common.stats.get(tid).on_retire(1);
         // SAFETY: tid-exclusivity contract.
@@ -335,22 +321,6 @@ impl RawSmr for NbrSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
     fn local(&self, tid: Tid) -> SchemeLocal {
         // SAFETY: the shared per-thread cells are owned by self (boxed,
         // stable addresses) and outlive every handle via the Arc.
@@ -363,10 +333,6 @@ impl RawSmr for NbrSmr {
         } else {
             SmrKind::Nbr
         }
-    }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
     }
 }
 

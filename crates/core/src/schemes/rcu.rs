@@ -10,8 +10,7 @@
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::schemes::EpochBag;
-use crate::smr_stats::SmrSnapshot;
-use crate::{RawSmr, SchemeLocal, SmrKind};
+use crate::{RawSmr, SmrKind};
 
 use epic_alloc::{PoolAllocator, Tid};
 use epic_util::{CachePadded, TidSlots};
@@ -89,6 +88,10 @@ impl RcuSmr {
 }
 
 impl RawSmr for RcuSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
         let e = self.global_epoch.load(Ordering::SeqCst);
@@ -106,26 +109,6 @@ impl RawSmr for RcuSmr {
     fn end_op(&self, tid: Tid) {
         let v = self.announce[tid].load(Ordering::Relaxed);
         self.announce[tid].store(v & !IN_OP, Ordering::Release);
-    }
-
-    fn protect(&self, _tid: Tid, _slot: usize, _ptr: usize) {}
-
-    fn needs_validate(&self) -> bool {
-        false
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
-    fn on_alloc(&self, tid: Tid, _ptr: NonNull<u8>) {
-        self.common.tick(tid);
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
     }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
@@ -172,32 +155,8 @@ impl RawSmr for RcuSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
-    fn local(&self, _tid: Tid) -> SchemeLocal {
-        SchemeLocal::passive()
-    }
-
     fn kind(&self) -> SmrKind {
         SmrKind::Rcu
-    }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
     }
 }
 

@@ -27,8 +27,7 @@
 use crate::common::SchemeCommon;
 use crate::config::{FreeMode, SmrConfig};
 use crate::retired::RetiredList;
-use crate::smr_stats::SmrSnapshot;
-use crate::{RawSmr, SchemeLocal, SmrKind};
+use crate::{RawSmr, SmrKind};
 
 use epic_alloc::{PoolAllocator, Tid};
 use epic_timeline::EventKind;
@@ -220,6 +219,10 @@ impl TokenSmr {
 }
 
 impl RawSmr for TokenSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
         // SAFETY: tid-exclusivity contract.
@@ -230,26 +233,6 @@ impl RawSmr for TokenSmr {
     }
 
     fn end_op(&self, _tid: Tid) {}
-
-    fn protect(&self, _tid: Tid, _slot: usize, _ptr: usize) {}
-
-    fn needs_validate(&self) -> bool {
-        false
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
-    fn on_alloc(&self, tid: Tid, _ptr: NonNull<u8>) {
-        self.common.tick(tid);
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
-    }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
         self.common.stats.get(tid).on_retire(1);
@@ -285,36 +268,12 @@ impl RawSmr for TokenSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
-    fn local(&self, _tid: Tid) -> SchemeLocal {
-        SchemeLocal::passive()
-    }
-
     fn kind(&self) -> SmrKind {
         match self.variant {
             TokenVariant::Naive => SmrKind::TokenNaive,
             TokenVariant::PassFirst => SmrKind::TokenPassFirst,
             TokenVariant::Periodic => SmrKind::TokenPeriodic,
         }
-    }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
     }
 }
 

@@ -22,7 +22,6 @@
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
-use crate::smr_stats::SmrSnapshot;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicU64, Ordering};
@@ -101,6 +100,10 @@ impl WfeSmr {
 }
 
 impl RawSmr for WfeSmr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
     }
@@ -111,37 +114,10 @@ impl RawSmr for WfeSmr {
         }
     }
 
-    fn protect(&self, tid: Tid, slot: usize, _ptr: usize) {
-        debug_assert!(slot < self.k);
-        let e = self.era.load(Ordering::SeqCst);
-        let base = (tid * self.k + slot) * 2;
-        if self.slots[base + 1].load(Ordering::Relaxed) == e {
-            return; // already fully published for this era
-        }
-        // Double-word publication: enter, fence, exit.
-        self.slots[base].store(e, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        self.slots[base + 1].store(e, Ordering::SeqCst);
-    }
-
-    fn needs_validate(&self) -> bool {
-        true
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
     fn on_alloc(&self, tid: Tid, ptr: NonNull<u8>) {
         self.common.tick(tid);
         // SAFETY: live block from this scheme's allocator.
         unsafe { block::set_birth_era(ptr, self.era.load(Ordering::SeqCst)) };
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
     }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
@@ -182,22 +158,6 @@ impl RawSmr for WfeSmr {
         self.common.sync_background();
     }
 
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
     fn local(&self, tid: Tid) -> SchemeLocal {
         // SAFETY: era clock and slot array are owned by self (boxed /
         // inline, stable addresses) and outlive every handle via the Arc.
@@ -212,15 +172,13 @@ impl RawSmr for WfeSmr {
     fn kind(&self) -> SmrKind {
         SmrKind::Wfe
     }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::AtomicUsize;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize) -> (Arc<dyn PoolAllocator>, Arc<WfeSmr>) {
@@ -234,22 +192,24 @@ mod tests {
     #[test]
     fn double_word_publication() {
         let (_, smr) = setup(1, 4);
-        smr.begin_op(0);
-        smr.protect(0, 2, 0);
+        let h = Smr::from_raw(smr.clone()).register(0);
+        let g = h.begin_op();
+        g.protect_load(2, &AtomicUsize::new(0)).unwrap();
         let base = 2 * 2;
         let enter = smr.slots[base].load(Ordering::Relaxed);
         let exit = smr.slots[base + 1].load(Ordering::Relaxed);
         assert_eq!(enter, exit);
         assert_ne!(enter, NONE);
-        smr.end_op(0);
+        drop(g);
         assert_eq!(smr.slots[base].load(Ordering::Relaxed), NONE);
     }
 
     #[test]
     fn reservation_protects_and_releases() {
         let (alloc, smr) = setup(2, 4);
-        smr.begin_op(1);
-        smr.protect(1, 0, 0);
+        let h1 = Smr::from_raw(smr.clone()).register(1);
+        let g1 = h1.begin_op();
+        g1.protect_load(0, &AtomicUsize::new(0)).unwrap();
         smr.begin_op(0);
         let victim = alloc.alloc(0, 64);
         smr.on_alloc(0, victim);
@@ -266,26 +226,26 @@ mod tests {
             "unreserved lifetimes freed: {:?}",
             smr.stats()
         );
-        smr.end_op(1);
+        drop(g1);
         smr.quiesce_and_drain();
         assert_eq!(smr.stats().garbage, 0);
     }
 
     #[test]
     fn multithreaded_stress() {
-        let (alloc, smr) = setup(4, 32);
+        let (_, smr) = setup(4, 32);
+        let shared = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
-                let alloc = Arc::clone(&alloc);
+                let facade = shared.clone();
                 std::thread::spawn(move || {
+                    let h = facade.register(tid);
+                    let link = AtomicUsize::new(0);
                     for i in 0..3_000usize {
-                        smr.begin_op(tid);
-                        smr.protect(tid, i % 8, 0);
-                        let p = alloc.alloc(tid, 64);
-                        smr.on_alloc(tid, p);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let g = h.begin_op();
+                        g.protect_load(i % 8, &link).unwrap();
+                        let p = g.alloc(64);
+                        g.retire(p);
                     }
                 })
             })

@@ -206,24 +206,44 @@ fn run_list(rest: &[&str]) -> i32 {
         Ok(s) => s,
         Err(code) => return code,
     };
+    // One locked handle, errors surfaced: `epic-run list | head` closes the
+    // pipe early, which is a normal way to stop reading, not a failure.
+    match write_list(&mut std::io::stdout().lock(), &opts, &selected) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("epic-run list: {e}");
+            1
+        }
+    }
+}
+
+fn write_list(
+    out: &mut impl std::io::Write,
+    opts: &CheckOpts,
+    selected: &[Experiment],
+) -> std::io::Result<()> {
     if opts.json {
-        println!("{}", registry_json(&selected));
-        return 0;
+        return writeln!(out, "{}", registry_json(selected));
     }
     match opts.shard {
-        Some((k, n)) => println!("experiments in shard {k}/{n}:"),
-        None => println!("experiments (pass an id, 'all', or 'check [id...|all]'):"),
+        Some((k, n)) => writeln!(out, "experiments in shard {k}/{n}:")?,
+        None => writeln!(
+            out,
+            "experiments (pass an id, 'all', or 'check [id...|all]'):"
+        )?,
     }
     let width = selected.iter().map(|e| e.id.len()).max().unwrap_or(0);
     for e in selected {
-        println!(
+        writeln!(
+            out,
             "  {:<width$}  cost {:>3}  {}",
             e.id,
             e.cost,
             e.origin.label()
-        );
+        )?;
     }
-    0
+    Ok(())
 }
 
 /// The selection as a JSON array: id, cost, origin, and the provenance

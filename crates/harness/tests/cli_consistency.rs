@@ -1,7 +1,8 @@
 //! Smoke tests keeping the experiment registry, the oracle registry, and
 //! the `epic-run` CLI in lock-step: every id is unique, `run_by_name`
 //! resolves exactly the registered ids, the installed binary's `list`
-//! output matches the registry line for line, every listed experiment
+//! output matches the registry line for line (and survives a closed
+//! pipe), every listed experiment
 //! has exactly one paper-shape oracle (no orphans in either direction),
 //! and the process-runner surface (`--shard`, `-j`, `--one`,
 //! `merge-shapes`, `bench-diff`) round-trips end to end.
@@ -86,6 +87,40 @@ fn epic_run_list_matches_registry() {
         listed, registry,
         "CLI list output diverged from all_experiments()"
     );
+}
+
+/// `epic-run list | head -1`: the reader going away mid-listing is a normal
+/// way to stop, not a failure — clean exit, nothing on stderr (`println!`
+/// used to panic with "failed printing to stdout: Broken pipe", exit 101).
+/// Whether a write actually hits the closed pipe is a race against the
+/// child's one-write-per-line output, hence the repeats.
+#[test]
+fn epic_run_list_survives_a_closed_pipe() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    for round in 0..8 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_epic-run"))
+            .arg("list")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn epic-run");
+        let mut stdout = BufReader::with_capacity(16, child.stdout.take().expect("piped stdout"));
+        let mut first = String::new();
+        stdout.read_line(&mut first).expect("read header line");
+        assert!(first.starts_with("experiments"), "round {round}: {first:?}");
+        drop(stdout);
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        let status = child.wait().expect("wait epic-run");
+        assert!(status.success(), "round {round}: {status:?}\n{stderr}");
+        assert_eq!(stderr, "", "round {round}");
+    }
 }
 
 /// The three `--shard K/3` listings partition the registry: disjoint,

@@ -98,16 +98,18 @@ fn env_usize_list(key: &str) -> Option<Vec<usize>> {
     let parsed: Vec<usize> = raw
         .split(',')
         .filter(|s| !s.trim().is_empty())
+        // Zero is as malformed as "x": every consumer is a thread or size
+        // count, and a 0-thread trial has no tid to register.
         .filter_map(|s| match s.trim().parse().ok() {
-            Some(n) => Some(n),
-            None => {
+            Some(n) if n > 0 => Some(n),
+            _ => {
                 dropped = true;
                 None
             }
         })
         .collect();
     if dropped {
-        warn_malformed_env(key, &raw, "comma-separated list of usize");
+        warn_malformed_env(key, &raw, "comma-separated list of positive usize");
     }
     if parsed.is_empty() {
         None
@@ -222,6 +224,16 @@ mod tests {
         // All-malformed lists behave like an unset variable.
         env::set_var(key, "x,y");
         assert_eq!(env_usize_list(key), None);
+        env::remove_var(key);
+    }
+
+    #[test]
+    fn env_usize_list_treats_zero_as_malformed() {
+        let key = "EPIC_TEST_ZERO_LIST";
+        for (raw, expected) in [("0", None), ("0,4", Some(vec![4])), ("4,x", Some(vec![4]))] {
+            env::set_var(key, raw);
+            assert_eq!(env_usize_list(key), expected, "{raw:?}");
+        }
         env::remove_var(key);
     }
 

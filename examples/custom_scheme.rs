@@ -1,9 +1,14 @@
 //! Implementing your own reclamation scheme against the public [`RawSmr`]
 //! trait — and getting the paper's Amortized Free technique for free by
-//! embedding [`SchemeCommon`]. Wrapping the scheme in [`Smr::from_raw`]
-//! gives it the thread-bound `SmrHandle`/`OpGuard` surface (including the
-//! registration guard and the `protect_load` combinator) with no extra
-//! code: `local()` just declares the scheme passive.
+//! embedding [`SchemeCommon`]. The impl below is the trait's seven required
+//! methods and nothing else: `common` hands the trait the embedded state
+//! its provided methods (stats, name, allocator, object pool, the
+//! amortized-free tick in `on_alloc`) are written over, and the defaulted
+//! hooks stay defaulted — `local()` already declares an epoch scheme
+//! passive, so `protect_load` compiles down to one Acquire load. Wrapping
+//! the scheme in [`Smr::from_raw`] gives it the thread-bound
+//! `SmrHandle`/`OpGuard` surface (registration guard included) with no
+//! extra code.
 //!
 //! The scheme here is a deliberately minimal EBR ("MiniEbr"): one global
 //! epoch, per-thread announcements, and the conservative lag-2 free rule
@@ -19,9 +24,7 @@
 
 use epochs_too_epic::alloc::{build_allocator, AllocatorKind, CostModel, PoolAllocator, Tid};
 use epochs_too_epic::ds::{build_tree, TreeKind};
-use epochs_too_epic::smr::{
-    FreeMode, RawSmr, RetiredList, SchemeCommon, SchemeLocal, Smr, SmrConfig, SmrKind, SmrSnapshot,
-};
+use epochs_too_epic::smr::{FreeMode, RawSmr, RetiredList, SchemeCommon, Smr, SmrConfig, SmrKind};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -89,6 +92,14 @@ impl MiniEbr {
 }
 
 impl RawSmr for MiniEbr {
+    fn common(&self) -> &SchemeCommon {
+        &self.common
+    }
+
+    fn kind(&self) -> SmrKind {
+        SmrKind::Rcu // closest built-in family, for reporting purposes
+    }
+
     fn begin_op(&self, tid: Tid) {
         self.common.relief(tid);
         let e = self.epoch.load(Ordering::SeqCst);
@@ -97,26 +108,6 @@ impl RawSmr for MiniEbr {
 
     fn end_op(&self, tid: Tid) {
         self.announce[tid].store(QUIESCENT, Ordering::SeqCst);
-    }
-
-    fn protect(&self, _tid: Tid, _slot: usize, _ptr: usize) {} // epoch scheme: no-op
-
-    fn needs_validate(&self) -> bool {
-        false
-    }
-
-    fn poll_restart(&self, _tid: Tid) -> bool {
-        false
-    }
-
-    fn enter_write_phase(&self, _tid: Tid, _ptrs: &[usize]) {}
-
-    fn on_alloc(&self, tid: Tid, _ptr: NonNull<u8>) {
-        self.common.tick(tid); // drives the amortized drain
-    }
-
-    fn try_pool_alloc(&self, tid: Tid, size: usize) -> Option<NonNull<u8>> {
-        self.common.pool_alloc(tid, size)
     }
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
@@ -156,36 +147,6 @@ impl RawSmr for MiniEbr {
             self.common.drain_freebuf(tid);
         }
         self.common.sync_background();
-    }
-
-    fn stats(&self) -> SmrSnapshot {
-        self.common.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.common.stats.reset();
-    }
-
-    fn name(&self) -> &str {
-        self.common.name()
-    }
-
-    fn kind(&self) -> SmrKind {
-        SmrKind::Rcu // closest built-in family, for reporting purposes
-    }
-
-    fn max_threads(&self) -> usize {
-        self.common.n_threads()
-    }
-
-    fn local(&self, _tid: Tid) -> SchemeLocal {
-        // Epoch scheme: protect is a no-op, links never need re-validation
-        // — protect_load compiles down to one Acquire load.
-        SchemeLocal::passive()
-    }
-
-    fn allocator(&self) -> &Arc<dyn PoolAllocator> {
-        &self.common.alloc
     }
 }
 
