@@ -8,12 +8,10 @@
 //! 1-in-64 and extrapolated, keeping measurement overhead out of the fast
 //! path the same way `perf`'s sampling does.
 
+use epic_util::stats::Sampler;
 use epic_util::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Sampling period for fast-path timing (power of two).
-pub const SAMPLE_PERIOD: u64 = 64;
 
 /// Per-thread counter block. All plain `Cell`s — only the owning thread
 /// writes, snapshots read racily (fine for reporting).
@@ -44,9 +42,9 @@ pub struct ThreadCounters {
     pub free_ns: Cell<u64>,
     /// Extrapolated nanoseconds in alloc (sampled).
     pub alloc_ns: Cell<u64>,
-    /// Sampling phase counters.
-    sample_tick_free: Cell<u64>,
-    sample_tick_alloc: Cell<u64>,
+    /// Fast-path timing samplers.
+    free_sampler: Sampler,
+    alloc_sampler: Sampler,
 }
 
 // SAFETY: each ThreadCounters is logically owned by one thread (indexed by
@@ -63,34 +61,30 @@ impl ThreadCounters {
     }
 
     /// Records an allocation; returns true if this call should be timed
-    /// (1-in-[`SAMPLE_PERIOD`] sampling).
+    /// (1-in-[`Sampler::PERIOD`] sampling).
     #[inline]
     pub fn on_alloc(&self) -> bool {
         Self::bump(&self.allocs, 1);
-        let t = self.sample_tick_alloc.get().wrapping_add(1);
-        self.sample_tick_alloc.set(t);
-        t.is_multiple_of(SAMPLE_PERIOD)
+        self.alloc_sampler.fire()
     }
 
     /// Records a deallocation; returns true if this call should be timed.
     #[inline]
     pub fn on_dealloc(&self) -> bool {
         Self::bump(&self.deallocs, 1);
-        let t = self.sample_tick_free.get().wrapping_add(1);
-        self.sample_tick_free.set(t);
-        t.is_multiple_of(SAMPLE_PERIOD)
+        self.free_sampler.fire()
     }
 
     /// Adds a sampled fast-path duration (extrapolated by the period).
     #[inline]
     pub fn add_sampled_free_ns(&self, ns: u64) {
-        Self::bump(&self.free_ns, ns * SAMPLE_PERIOD);
+        Self::bump(&self.free_ns, Sampler::extrapolate(ns));
     }
 
     /// Adds a sampled alloc duration (extrapolated by the period).
     #[inline]
     pub fn add_sampled_alloc_ns(&self, ns: u64) {
-        Self::bump(&self.alloc_ns, ns * SAMPLE_PERIOD);
+        Self::bump(&self.alloc_ns, Sampler::extrapolate(ns));
     }
 
     /// Adds an exactly-measured flush duration (also counted in free time).
@@ -312,18 +306,18 @@ mod tests {
     #[test]
     fn sampling_fires_once_per_period() {
         let c = ThreadCounters::default();
-        let fired: u64 = (0..(SAMPLE_PERIOD * 4))
+        let fired: u64 = (0..(Sampler::PERIOD * 4))
             .map(|_| u64::from(c.on_dealloc()))
             .sum();
         assert_eq!(fired, 4);
-        assert_eq!(c.deallocs.get(), SAMPLE_PERIOD * 4);
+        assert_eq!(c.deallocs.get(), Sampler::PERIOD * 4);
     }
 
     #[test]
     fn sampled_time_extrapolates() {
         let c = ThreadCounters::default();
         c.add_sampled_free_ns(10);
-        assert_eq!(c.free_ns.get(), 10 * SAMPLE_PERIOD);
+        assert_eq!(c.free_ns.get(), 10 * Sampler::PERIOD);
     }
 
     #[test]

@@ -14,11 +14,6 @@
 //!   freeable-list drain all run at their steady-state rates. A correct
 //!   zero-allocation pipeline performs **no** heap allocation here at all.
 //!
-//! Every reclaiming scheme is measured twice: once under the static modes
-//! (batch burst, amortized steady) and once as a `<scheme>_adapt` row with
-//! [`FreeMode::Adaptive`] driving both regimes, so bench-diff gates the
-//! adaptive controller's fast-path cost alongside the static pipelines.
-//!
 //! Heap traffic is observed from below via a counting `#[global_allocator]`
 //! wrapper, so the numbers are ground truth rather than self-reported; the
 //! scheme-reported `retire_path_allocs` counter (segment-pool misses) is
@@ -76,7 +71,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 struct Row {
-    scheme: String,
+    scheme: &'static str,
     burst_ns: f64,
     burst_allocs: f64,
     steady_ns: f64,
@@ -86,15 +81,13 @@ struct Row {
 
 /// Burst regime: time `retire` calls into a fresh scheme whose reclamation
 /// thresholds cannot fire mid-loop, plus the drain handing the batch back
-/// to the allocator. `mode` is the free mode under test (`Batch` for the
-/// plain rows, `Adaptive` for the `_adapt` rows — the controller recompute
-/// at the disposal boundary is part of the timed pipeline).
-fn bench_burst(kind: SmrKind, burst: usize, rounds: usize, mode: FreeMode) -> (f64, f64) {
+/// to the allocator.
+fn bench_burst(kind: SmrKind, burst: usize, rounds: usize) -> (f64, f64) {
     let mut best_ns = u64::MAX;
     let mut total_allocs = 0u64;
     for _ in 0..rounds {
         let alloc = build_allocator(AllocatorKind::Je, 1, CostModel::zero());
-        let mut cfg = SmrConfig::new(1).with_bag_cap(burst * 2).with_mode(mode);
+        let mut cfg = SmrConfig::new(1).with_bag_cap(burst * 2);
         cfg.era_freq = 64;
         let smr = build_smr(kind, std::sync::Arc::clone(&alloc), cfg).into_raw();
         let blocks: Vec<_> = (0..burst)
@@ -131,10 +124,12 @@ fn bench_burst(kind: SmrKind, burst: usize, rounds: usize, mode: FreeMode) -> (f
 /// figure is the best of several measurement windows (noise floor);
 /// allocation counts cover every window (a single stray allocation must
 /// not be averaged away).
-fn bench_steady(kind: SmrKind, ops: usize, mode: FreeMode) -> (f64, f64, u64) {
+fn bench_steady(kind: SmrKind, ops: usize) -> (f64, f64, u64) {
     const WINDOWS: usize = 5;
     let alloc = build_allocator(AllocatorKind::Je, 1, CostModel::zero());
-    let mut cfg = SmrConfig::new(1).with_mode(mode).with_bag_cap(256);
+    let mut cfg = SmrConfig::new(1)
+        .with_mode(FreeMode::amortized())
+        .with_bag_cap(256);
     cfg.epoch_check_every = 4;
     cfg.era_freq = 64;
     let smr = build_smr(kind, std::sync::Arc::clone(&alloc), cfg).into_raw();
@@ -183,35 +178,22 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    // Plain rows (batch burst, amortized steady), then the `_adapt` rows:
-    // the same pipeline under the adaptive controller, so bench-diff gates
-    // the controller's fast-path cost alongside the static modes. `none`
-    // has no reclamation pipeline for the controller to steer — skip it.
-    let variants = [
-        ("", FreeMode::Batch, FreeMode::Amortized { per_op: 1 }),
-        ("_adapt", FreeMode::Adaptive, FreeMode::Adaptive),
-    ];
-    for (suffix, burst_mode, steady_mode) in variants {
-        for kind in SmrKind::ALL {
-            if kind == SmrKind::None && !suffix.is_empty() {
-                continue;
-            }
-            let (burst_ns, burst_allocs) = bench_burst(kind, burst, rounds, burst_mode);
-            let (steady_ns, steady_allocs, smr_ctr) = bench_steady(kind, ops, steady_mode);
-            let scheme = format!("{}{}", kind.base_name(), suffix);
-            println!(
-                "{scheme:<16} {burst_ns:>12.2} {burst_allocs:>14.5} {steady_ns:>12.2} \
-                 {steady_allocs:>14.5} {smr_ctr:>10}"
-            );
-            rows.push(Row {
-                scheme,
-                burst_ns,
-                burst_allocs,
-                steady_ns,
-                steady_allocs,
-                smr_retire_path_allocs: smr_ctr,
-            });
-        }
+    for kind in SmrKind::ALL {
+        let (burst_ns, burst_allocs) = bench_burst(kind, burst, rounds);
+        let (steady_ns, steady_allocs, smr_ctr) = bench_steady(kind, ops);
+        let scheme = kind.base_name();
+        println!(
+            "{scheme:<16} {burst_ns:>12.2} {burst_allocs:>14.5} {steady_ns:>12.2} \
+             {steady_allocs:>14.5} {smr_ctr:>10}"
+        );
+        rows.push(Row {
+            scheme,
+            burst_ns,
+            burst_allocs,
+            steady_ns,
+            steady_allocs,
+            smr_retire_path_allocs: smr_ctr,
+        });
     }
 
     let mut json = String::from("{\n");

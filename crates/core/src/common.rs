@@ -7,7 +7,6 @@
 //! [`Segment`] scratch whose rare heap misses are counted into
 //! [`SmrStats`] (`retire_path_allocs`) so the harness can assert zero.
 
-use crate::adaptive::{AdaptiveCtrl, CtrlSignals};
 use crate::config::{FreeMode, SmrConfig};
 use crate::freebuf::{FreeBuffer, PoolBins};
 use crate::retired::RetiredList;
@@ -49,9 +48,6 @@ pub struct SchemeCommon {
     name: String,
     freebufs: TidSlots<FreeBuffer>,
     pools: TidSlots<PoolBins>,
-    /// Per-thread batch-free controllers ([`FreeMode::Adaptive`] only;
-    /// idle otherwise).
-    ctrls: TidSlots<AdaptiveCtrl>,
     /// Recycled scan scratch, one pool per thread.
     scratch_pools: TidSlots<SegmentPool>,
     bg: Option<BgReclaimer>,
@@ -101,7 +97,6 @@ impl SchemeCommon {
         SchemeCommon {
             name: format!("{}{}", base, cfg.mode.suffix()),
             alloc,
-            ctrls: TidSlots::new_with(n, |_| AdaptiveCtrl::new(&cfg)),
             cfg,
             stats,
             freebufs: TidSlots::new_with(n, |_| FreeBuffer::new()),
@@ -115,39 +110,6 @@ impl SchemeCommon {
     #[inline]
     pub fn n_threads(&self) -> usize {
         self.cfg.max_threads
-    }
-
-    /// The limbo-bag cap threshold schemes compare against on the retire
-    /// path: the static `cfg.bag_cap`, except in [`FreeMode::Adaptive`]
-    /// where it is `tid`'s controller's current cap (one `usize` read from
-    /// the thread's own slot — the only adaptive cost on the fast path).
-    #[inline]
-    pub fn bag_cap(&self, tid: Tid) -> usize {
-        match self.cfg.mode {
-            // SAFETY: tid-exclusivity contract (read of own slot).
-            FreeMode::Adaptive => unsafe { self.ctrls.peek(tid) }.bag_cap(),
-            _ => self.cfg.bag_cap,
-        }
-    }
-
-    /// Runs `tid`'s controller over the window that just ended
-    /// ([`FreeMode::Adaptive`] batch-disposal boundaries only). Every
-    /// signal is an owner-thread `Cell` read or a stack snapshot of the
-    /// thread's allocator counters — no allocation, no cross-thread
-    /// traffic.
-    fn adapt_recompute(&self, tid: Tid) {
-        let c = self.stats.get(tid);
-        let signals = CtrlSignals {
-            // SAFETY: tid-exclusivity contract (len read of own slot).
-            backlog: unsafe { self.freebufs.peek(tid).len() },
-            garbage: c.garbage.get(),
-            flushes: self.alloc.thread_stats(tid).flushes,
-            scans: c.scans.get(),
-            free_ns: c.free_ns.get(),
-            freed: c.freed.get(),
-        };
-        // SAFETY: tid-exclusivity contract.
-        unsafe { self.ctrls.get_mut(tid) }.update(signals);
     }
 
     /// Borrows `tid`'s recycled scan scratch, cleared, with room for at
@@ -191,15 +153,6 @@ impl SchemeCommon {
                 // SAFETY: tid-exclusivity contract.
                 let buf = unsafe { self.freebufs.get_mut(tid) };
                 buf.absorb(batch);
-            }
-            FreeMode::Adaptive => {
-                // Park the batch like Amortized, then let the controller
-                // consume the window: a disposal IS a scan/epoch boundary,
-                // so the retune happens off the per-op fast path.
-                // SAFETY: tid-exclusivity contract.
-                let buf = unsafe { self.freebufs.get_mut(tid) };
-                buf.absorb(batch);
-                self.adapt_recompute(tid);
             }
             FreeMode::Pooled => {
                 // SAFETY: tid-exclusivity contract; batch pointers are live
@@ -253,13 +206,9 @@ impl SchemeCommon {
     /// batch mode or when the freeable list is empty.
     #[inline]
     pub fn tick(&self, tid: Tid) {
-        let per_op = match self.cfg.mode {
-            FreeMode::Amortized { per_op } => per_op,
-            // SAFETY: tid-exclusivity contract (read of own slot).
-            FreeMode::Adaptive => unsafe { self.ctrls.peek(tid) }.per_op(),
-            FreeMode::Batch | FreeMode::Background | FreeMode::Pooled => return,
-        };
-        self.drain_n(tid, per_op);
+        if let FreeMode::Amortized { per_op } = self.cfg.mode {
+            self.drain_n(tid, per_op);
+        }
     }
 
     /// Pool allocation ([`FreeMode::Pooled`]): serves `size` bytes from the
@@ -285,14 +234,13 @@ impl SchemeCommon {
     /// until it is back under the cap.
     #[inline]
     pub fn relief(&self, tid: Tid) {
-        let (per_op, backlog_cap) = match self.cfg.mode {
-            FreeMode::Amortized { per_op } => (per_op, self.cfg.af_backlog_cap),
-            FreeMode::Adaptive => {
-                // SAFETY: tid-exclusivity contract (read of own slot).
-                let ctrl = unsafe { self.ctrls.peek(tid) };
-                // Drain at double rate under relief so a burst clears in
-                // finite time even at per_op == 1.
-                (ctrl.per_op() * 2, ctrl.relief_cap())
+        match self.cfg.mode {
+            FreeMode::Amortized { per_op } => {
+                // SAFETY: tid-exclusivity contract (len read of own slot).
+                let backlog = unsafe { self.freebufs.peek(tid).len() };
+                if backlog > self.cfg.af_backlog_cap {
+                    self.drain_n(tid, per_op);
+                }
             }
             FreeMode::Pooled => {
                 // A pool that outgrows the backlog cap holds memory the
@@ -305,14 +253,8 @@ impl SchemeCommon {
                     pool.take_excess(1, &mut excess);
                     self.free_batch_now(tid, &mut excess);
                 }
-                return;
             }
-            FreeMode::Batch | FreeMode::Background => return,
-        };
-        // SAFETY: tid-exclusivity contract (len read of own slot).
-        let backlog = unsafe { self.freebufs.peek(tid).len() };
-        if backlog > backlog_cap {
-            self.drain_n(tid, per_op);
+            FreeMode::Batch | FreeMode::Background => {}
         }
     }
 
@@ -320,10 +262,9 @@ impl SchemeCommon {
     ///
     /// Timing: with per-call recording on, every free is clocked exactly
     /// (the whole point of that mode). Otherwise this per-operation fast
-    /// path samples 1 drain in [`crate::smr_stats::DRAIN_SAMPLE_PERIOD`]
-    /// and extrapolates, like the allocator's own counters — two clock
-    /// reads per operation would otherwise dominate the drained object's
-    /// cost.
+    /// path times one drain per [`epic_util::stats::Sampler`] period and
+    /// extrapolates, like the allocator's own counters — two clock reads
+    /// per operation would otherwise dominate the drained object's cost.
     #[inline]
     fn drain_n(&self, tid: Tid, n: usize) {
         // SAFETY: tid-exclusivity contract.
@@ -380,18 +321,6 @@ impl SchemeCommon {
             }
         } else {
             self.alloc.dealloc(tid, r.ptr);
-        }
-    }
-
-    /// A copy of `tid`'s adaptive controller in [`FreeMode::Adaptive`]
-    /// (`None` in every other mode). Reporting/tests only — the clone is
-    /// a handful of `Copy` fields, and a racy read of another thread's
-    /// slot is tolerated under the reporting convention.
-    pub fn adaptive_ctrl(&self, tid: Tid) -> Option<AdaptiveCtrl> {
-        match self.cfg.mode {
-            // SAFETY: reporting convention (racy read tolerated).
-            FreeMode::Adaptive => Some(unsafe { self.ctrls.peek(tid) }.clone()),
-            _ => None,
         }
     }
 
@@ -562,36 +491,6 @@ mod tests {
         assert_eq!(common(FreeMode::Batch).name(), "test");
         assert_eq!(common(FreeMode::amortized()).name(), "test_af");
         assert_eq!(common(FreeMode::Background).name(), "test_bg");
-        assert_eq!(common(FreeMode::Adaptive).name(), "test_adapt");
-    }
-
-    #[test]
-    fn adaptive_mode_parks_batches_and_runs_the_controller() {
-        let c = common(FreeMode::Adaptive);
-        assert_eq!(c.adaptive_ctrl(0).unwrap().updates(), 0);
-        let mut batch = make_batch(&c, 0, 10);
-        c.dispose(0, &mut batch);
-        // Parked like Amortized, not freed.
-        assert_eq!(c.stats.snapshot().freed, 0);
-        assert_eq!(c.freebuf_len(0), 10);
-        // The disposal boundary consumed one control window.
-        let ctrl = c.adaptive_ctrl(0).unwrap();
-        assert_eq!(ctrl.updates(), 1);
-        // Ticks drain at the controller's rate.
-        c.tick(0);
-        assert_eq!(c.stats.snapshot().freed as usize, ctrl.per_op());
-        // bag_cap(tid) reads the controller, not the static config.
-        assert_eq!(c.bag_cap(0), ctrl.bag_cap());
-        // Other threads' controllers are untouched.
-        assert_eq!(c.adaptive_ctrl(1).unwrap().updates(), 0);
-        c.drain_freebuf(0);
-    }
-
-    #[test]
-    fn adaptive_ctrl_is_none_outside_adaptive_mode() {
-        let c = common(FreeMode::amortized());
-        assert!(c.adaptive_ctrl(0).is_none());
-        assert_eq!(c.bag_cap(0), c.cfg.bag_cap);
     }
 
     #[test]

@@ -47,17 +47,6 @@ pub enum FreeMode {
     /// bench can quantify exactly how much of AF's benefit pooling also
     /// captures — and at what cost in allocator-invisible held memory.
     Pooled,
-    /// Online per-thread control of the batch-free knobs.
-    ///
-    /// The paper's thesis is that every *fixed* batch-free configuration is
-    /// harmful somewhere; this mode stops fixing it. Each thread runs an
-    /// [`AdaptiveCtrl`](crate::adaptive::AdaptiveCtrl) that retunes its
-    /// limbo-bag cap and amortized drain rate at scan/drain boundaries from
-    /// signals the stats layer already collects (garbage gauge, sampled
-    /// drain latency, allocator flush pressure). `cfg.bag_cap` and
-    /// `cfg.af_backlog_cap` become the controller's *initial* operating
-    /// point rather than a constant.
-    Adaptive,
 }
 
 impl FreeMode {
@@ -66,15 +55,14 @@ impl FreeMode {
         FreeMode::Amortized { per_op: 1 }
     }
 
-    /// Suffix appended to scheme names (`""`, `"_af"`, `"_bg"`, `"_pool"`
-    /// or `"_adapt"`).
+    /// Suffix appended to scheme names (`""`, `"_af"`, `"_bg"` or
+    /// `"_pool"`).
     pub fn suffix(&self) -> &'static str {
         match self {
             FreeMode::Batch => "",
             FreeMode::Amortized { .. } => "_af",
             FreeMode::Background => "_bg",
             FreeMode::Pooled => "_pool",
-            FreeMode::Adaptive => "_adapt",
         }
     }
 
@@ -85,15 +73,16 @@ impl FreeMode {
 
     /// Parses a mode name as runbooks spell it: `"batch"`,
     /// `"amortized"`/`"af"` (per_op 1), `"background"`/`"bg"`,
-    /// `"pooled"`/`"pool"`, `"adaptive"`/`"adapt"`.
-    pub fn parse(s: &str) -> Option<FreeMode> {
+    /// `"pooled"`/`"pool"`. The error names the accepted spellings.
+    pub fn parse(s: &str) -> Result<FreeMode, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "batch" => Some(FreeMode::Batch),
-            "amortized" | "af" => Some(FreeMode::Amortized { per_op: 1 }),
-            "background" | "bg" => Some(FreeMode::Background),
-            "pooled" | "pool" => Some(FreeMode::Pooled),
-            "adaptive" | "adapt" => Some(FreeMode::Adaptive),
-            _ => None,
+            "batch" => Ok(FreeMode::Batch),
+            "amortized" | "af" => Ok(FreeMode::Amortized { per_op: 1 }),
+            "background" | "bg" => Ok(FreeMode::Background),
+            "pooled" | "pool" => Ok(FreeMode::Pooled),
+            other => Err(format!(
+                "unknown mode '{other}' (accepted: batch, amortized|af, background|bg, pooled|pool)"
+            )),
         }
     }
 }
@@ -210,10 +199,8 @@ mod tests {
     fn mode_suffixes() {
         assert_eq!(FreeMode::Batch.suffix(), "");
         assert_eq!(FreeMode::amortized().suffix(), "_af");
-        assert_eq!(FreeMode::Adaptive.suffix(), "_adapt");
         assert!(FreeMode::amortized().is_amortized());
         assert!(!FreeMode::Batch.is_amortized());
-        assert!(!FreeMode::Adaptive.is_amortized());
     }
 
     #[test]
@@ -264,19 +251,16 @@ mod tests {
 
     #[test]
     fn free_mode_parse_round_trips_suffix_spellings() {
-        assert_eq!(FreeMode::parse("batch"), Some(FreeMode::Batch));
-        assert_eq!(
-            FreeMode::parse("amortized"),
-            Some(FreeMode::Amortized { per_op: 1 })
-        );
-        assert_eq!(
-            FreeMode::parse("af"),
-            Some(FreeMode::Amortized { per_op: 1 })
-        );
-        assert_eq!(FreeMode::parse("bg"), Some(FreeMode::Background));
-        assert_eq!(FreeMode::parse(" Pool "), Some(FreeMode::Pooled));
-        assert_eq!(FreeMode::parse("adapt"), Some(FreeMode::Adaptive));
-        assert_eq!(FreeMode::parse("nope"), None);
+        assert_eq!(FreeMode::parse("batch"), Ok(FreeMode::Batch));
+        assert_eq!(FreeMode::parse("amortized"), Ok(FreeMode::amortized()));
+        assert_eq!(FreeMode::parse("af"), Ok(FreeMode::amortized()));
+        assert_eq!(FreeMode::parse("bg"), Ok(FreeMode::Background));
+        assert_eq!(FreeMode::parse(" Pool "), Ok(FreeMode::Pooled));
+        // Hostile input (the deleted fifth mode included): the error lists what is accepted.
+        for bad in ["nope", "", "adapt", "adaptive", "_adapt"] {
+            let err = FreeMode::parse(bad).expect_err(bad);
+            assert!(err.contains("batch, amortized|af, background|bg, pooled|pool"));
+        }
     }
 
     #[test]

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adaptive;
 pub mod common;
 pub mod config;
 pub mod freebuf;
@@ -69,7 +68,6 @@ pub mod schemes;
 pub mod smr_stats;
 pub mod sync;
 
-pub use adaptive::{AdaptiveCtrl, CtrlSignals};
 pub use common::SchemeCommon;
 pub use config::{FreeMode, SmrConfig};
 pub use freebuf::FreeBuffer;

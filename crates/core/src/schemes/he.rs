@@ -130,7 +130,7 @@ impl RawSmr for HeSmr {
             let new = self.era.fetch_add(1, Ordering::SeqCst) + 1;
             self.common.record_epoch_advance(tid, new);
         }
-        if state.bag.len() >= self.common.bag_cap(tid) {
+        if state.bag.len() >= self.common.cfg.bag_cap {
             self.scan_and_reclaim(tid, state);
         }
     }

@@ -19,7 +19,7 @@ use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicUsize, Ordering};
 use epic_alloc::{PoolAllocator, Tid};
-use epic_util::TidSlots;
+use epic_util::{SlotBlocks, TidSlots};
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -30,9 +30,9 @@ struct HpThread {
 /// Hazard pointers. See module docs.
 pub struct HpSmr {
     common: SchemeCommon,
-    /// Flat slot array: `slots[tid * k + i]`.
-    slots: Box<[AtomicUsize]>,
-    k: usize,
+    /// `hp_slots` hazard slots per thread, each thread's block on its own
+    /// cache lines (`end_op` stores to all of them on every operation).
+    slots: SlotBlocks<AtomicUsize>,
     threads: TidSlots<HpThread>,
 }
 
@@ -40,13 +40,8 @@ impl HpSmr {
     /// Builds the scheme with `cfg.hp_slots` hazard slots per thread.
     pub fn new(alloc: Arc<dyn PoolAllocator>, cfg: SmrConfig) -> Self {
         let n = cfg.max_threads;
-        let k = cfg.hp_slots;
         HpSmr {
-            slots: (0..n * k)
-                .map(|_| AtomicUsize::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            k,
+            slots: SlotBlocks::new_with(n, cfg.hp_slots, || AtomicUsize::new(0)),
             threads: TidSlots::new_with(n, |_| HpThread {
                 bag: RetiredList::new(),
             }),
@@ -57,7 +52,7 @@ impl HpSmr {
     /// Raw slot contents (tests).
     #[cfg(test)]
     pub(crate) fn slot_value(&self, tid: Tid, slot: usize) -> usize {
-        self.slots[tid * self.k + slot].load(Ordering::Relaxed)
+        self.slots.block(tid)[slot].load(Ordering::Relaxed)
     }
 
     /// Scans all hazard slots and frees every bagged object that is not
@@ -69,7 +64,7 @@ impl HpSmr {
         // The fence pairs with the SeqCst protect stores: any protect that
         // precedes our scan in the SeqCst order is observed.
         fence(Ordering::SeqCst);
-        let mut hazards = self.common.scratch(tid, self.slots.len());
+        let mut hazards = self.common.scratch(tid, self.slots.count());
         hazards.extend(
             self.slots
                 .iter()
@@ -98,8 +93,8 @@ impl RawSmr for HpSmr {
 
     fn end_op(&self, tid: Tid) {
         // Release the operation's hazards so scanners can reclaim.
-        for i in 0..self.k {
-            self.slots[tid * self.k + i].store(0, Ordering::Release);
+        for slot in self.slots.block(tid) {
+            slot.store(0, Ordering::Release);
         }
     }
 
@@ -110,10 +105,7 @@ impl RawSmr for HpSmr {
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
         unsafe { state.bag.push_retire(ptr, 0) };
-        let threshold = self
-            .common
-            .bag_cap(tid)
-            .max(2 * self.k * self.common.n_threads());
+        let threshold = self.common.cfg.bag_cap.max(2 * self.slots.count());
         if state.bag.len() >= threshold {
             self.scan_and_reclaim(tid, state);
         }
@@ -138,9 +130,9 @@ impl RawSmr for HpSmr {
     }
 
     fn local(&self, tid: Tid) -> SchemeLocal {
-        // SAFETY: the slot array is owned by self, boxed (stable address),
-        // and outlives every handle via the facade's Arc.
-        unsafe { SchemeLocal::hazard_slots(&self.slots[tid * self.k..(tid + 1) * self.k]) }
+        // SAFETY: the slot blocks are owned by self, boxed (stable address),
+        // and outlive every handle via the facade's Arc.
+        unsafe { SchemeLocal::hazard_slots(self.slots.block(tid)) }
     }
 
     fn kind(&self) -> SmrKind {

@@ -289,7 +289,7 @@ impl RawSmr for NbrSmr {
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
         unsafe { state.current.push_retire(ptr, 0) };
-        if state.current.len() >= self.common.bag_cap(tid) {
+        if state.current.len() >= self.common.cfg.bag_cap {
             if !state.sealed.is_empty() && !self.neutralize_and_reclaim(tid, state) {
                 // Handshake timed out; retry at the next retirement.
                 return;

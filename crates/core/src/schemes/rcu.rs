@@ -133,7 +133,7 @@ impl RawSmr for RcuSmr {
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
         unsafe { bag.items.push_retire(ptr, 0) };
-        if bag.items.len() >= self.common.bag_cap(tid) {
+        if bag.items.len() >= self.common.cfg.bag_cap {
             self.try_advance(tid, self.global_epoch.load(Ordering::SeqCst));
         }
     }

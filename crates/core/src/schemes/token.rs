@@ -158,14 +158,10 @@ impl TokenSmr {
             TokenVariant::Periodic => {
                 self.pass(tid);
                 match self.common.cfg.mode {
-                    FreeMode::Amortized { .. }
-                    | FreeMode::Background
-                    | FreeMode::Pooled
-                    | FreeMode::Adaptive => {
+                    FreeMode::Amortized { .. } | FreeMode::Background | FreeMode::Pooled => {
                         // token_af: absorb into the freeable list (O(1));
                         // token_bg: hand to the reclaimer; token_pool:
-                        // absorb into the object pool; token_adapt: absorb
-                        // + controller retune (all O(1)).
+                        // absorb into the object pool (all O(1)).
                         self.common.dispose(tid, &mut state.previous);
                     }
                     FreeMode::Batch => {

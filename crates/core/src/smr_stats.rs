@@ -2,16 +2,10 @@
 //! (ops/s, `% free`, objects freed, epochs advanced) and the garbage
 //! accounting behind Figures 4–9.
 
-use epic_util::stats::LogHistogram;
+use epic_util::stats::{LogHistogram, Sampler};
 use epic_util::{CachePadded, TidSlots};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// 1-in-N sampling period for timing the amortized drain's fast path —
-/// the allocator's own period, re-exported so the two sampled `free_ns`
-/// figures in a trial can never drift apart: rare long operations (batch
-/// frees) are timed exactly, per-op work is sampled and extrapolated.
-pub const DRAIN_SAMPLE_PERIOD: u64 = epic_alloc::stats::SAMPLE_PERIOD;
 
 /// Per-thread scheme counters. `Cell`-based: the owning thread writes,
 /// reporting reads are racy-but-monotone (same pattern as the allocator's
@@ -49,8 +43,8 @@ pub struct ThreadSmrCounters {
     /// somewhere (e.g. a double free) — the stress and model suites assert
     /// it stays 0.
     pub garbage_clamps: Cell<u64>,
-    /// Rolling tick for [`DRAIN_SAMPLE_PERIOD`] drain-timing sampling.
-    sample_tick_drain: Cell<u64>,
+    /// Drain-timing sampler (the allocator counters' period).
+    drain_sampler: Sampler,
 }
 
 // SAFETY: owner-writes / racy-snapshot-reads, identical contract to
@@ -100,18 +94,16 @@ impl ThreadSmrCounters {
     }
 
     /// Advances the drain sample tick; true when this drain should be
-    /// timed (1-in-[`DRAIN_SAMPLE_PERIOD`]).
+    /// timed (1-in-[`Sampler::PERIOD`]).
     #[inline]
     pub fn on_drain_tick(&self) -> bool {
-        let t = self.sample_tick_drain.get().wrapping_add(1);
-        self.sample_tick_drain.set(t);
-        t.is_multiple_of(DRAIN_SAMPLE_PERIOD)
+        self.drain_sampler.fire()
     }
 
     /// Adds a sampled drain duration, extrapolated by the period.
     #[inline]
     pub fn add_sampled_free_ns(&self, ns: u64) {
-        Self::bump(&self.free_ns, ns * DRAIN_SAMPLE_PERIOD);
+        Self::bump(&self.free_ns, Sampler::extrapolate(ns));
     }
 
     /// Records a processed batch.

@@ -623,130 +623,6 @@ fn freebuf_contention_clean_passes() {
 }
 
 // ---------------------------------------------------------------------
-// Models: the adaptive retire path (FreeMode::Adaptive).
-//
-// Two shapes. (1) qsbr_adapt mirrors Model 1's splice pipeline — epoch
-// rotation disposes into the FreeBuffer, but in Adaptive mode every
-// disposal also runs the controller retune, so the retune sits exactly
-// on the splice boundary the M_SPLICE_KEEP_SOURCE mutant corrupts.
-// (2) hp_adapt drives the threshold path, where every retire reads the
-// per-thread controller's cap and scans feed the alloc-coupled drain at
-// the controller's (possibly retuned) rate. Shared oracles: exactly-once
-// frees under every explored schedule, nothing leaked, a balanced
-// garbage gauge with ZERO clamp events (the new accounting-bug detector
-// must stay silent on the real protocol).
-// ---------------------------------------------------------------------
-fn adaptive_splice_model() {
-    let alloc = TrackingAlloc::new(2);
-    let mut cfg = SmrConfig::new(2).with_mode(epic_smr::FreeMode::Adaptive);
-    cfg.epoch_check_every = 1;
-    let s = smr_with(SmrKind::Qsbr, alloc.clone(), cfg);
-
-    let workers: Vec<_> = (0..2)
-        .map(|tid| {
-            let s = s.clone();
-            thread::spawn(move || {
-                let h = s.register(tid);
-                for _ in 0..4 {
-                    let g = h.begin_op();
-                    let p = g.alloc(64);
-                    g.retire(p);
-                }
-                h.detach();
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
-    s.quiesce_and_drain();
-    assert_eq!(
-        alloc.freed_count(),
-        alloc.alloc_count(),
-        "every retired block freed exactly once"
-    );
-    assert_eq!(alloc.live_count(), 0, "nothing leaked");
-    let stats = s.stats();
-    assert_eq!(stats.garbage, 0, "gauge balanced at quiescence");
-    assert_eq!(
-        stats.garbage_clamps, 0,
-        "garbage gauge clamped on the adaptive path (double-count bug)"
-    );
-}
-
-fn adaptive_threshold_model() {
-    let alloc = TrackingAlloc::new(2);
-    let mut cfg = SmrConfig::new(2)
-        .with_bag_cap(2)
-        .with_mode(epic_smr::FreeMode::Adaptive);
-    cfg.hp_slots = 1;
-    let s = smr_with(SmrKind::Hp, alloc.clone(), cfg);
-
-    let workers: Vec<_> = (0..2)
-        .map(|tid| {
-            let s = s.clone();
-            thread::spawn(move || {
-                let h = s.register(tid);
-                for _ in 0..4 {
-                    let g = h.begin_op();
-                    let p = g.alloc(64);
-                    g.retire(p);
-                }
-                h.detach();
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
-    s.quiesce_and_drain();
-    assert_eq!(
-        alloc.freed_count(),
-        8,
-        "2 threads x 4 blocks, each freed once"
-    );
-    assert_eq!(alloc.live_count(), 0, "nothing leaked");
-    let stats = s.stats();
-    assert_eq!(stats.garbage, 0, "gauge balanced at quiescence");
-    assert_eq!(stats.garbage_clamps, 0, "gauge clamped (double-count bug)");
-}
-
-#[test]
-fn adaptive_splice_clean_passes() {
-    check(Config::random(300).with_seed(0xada1), adaptive_splice_model);
-}
-
-#[test]
-fn adaptive_threshold_clean_passes() {
-    check(
-        Config::random(300).with_seed(0xada3),
-        adaptive_threshold_model,
-    );
-}
-
-#[test]
-fn adaptive_splice_mutant_is_killed() {
-    // The same splice mutant must also die through the adaptive disposal
-    // path — the controller retune must not mask the corrupted splice.
-    let out = explore(
-        Config::random(5)
-            .with_seed(0xada2)
-            .with_ctx(M_SPLICE_KEEP_SOURCE),
-        adaptive_splice_model,
-    );
-    match out {
-        Outcome::Fail(f) => {
-            assert!(
-                f.message.contains("double free"),
-                "unexpected failure: {}",
-                f.message
-            )
-        }
-        Outcome::Pass { .. } => panic!("splice mutant survived the adaptive path"),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Checker metadata: failures replay byte-identically under this cfg too
 // (the splice mutant fails deterministically, so it makes a good probe).
 // ---------------------------------------------------------------------

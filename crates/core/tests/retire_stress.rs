@@ -190,7 +190,7 @@ fn stress(kind: SmrKind, mode: FreeMode, threads: usize, ops_per_thread: usize) 
 #[test]
 fn epoch_family_never_double_frees_or_loses_blocks() {
     for kind in [SmrKind::Debra, SmrKind::Qsbr, SmrKind::Rcu] {
-        for mode in [FreeMode::Batch, FreeMode::amortized(), FreeMode::Adaptive] {
+        for mode in [FreeMode::Batch, FreeMode::amortized()] {
             stress(kind, mode, 4, 2_000);
         }
     }
@@ -198,12 +198,7 @@ fn epoch_family_never_double_frees_or_loses_blocks() {
 
 #[test]
 fn token_ring_never_double_frees_or_loses_blocks() {
-    for mode in [
-        FreeMode::Batch,
-        FreeMode::amortized(),
-        FreeMode::Pooled,
-        FreeMode::Adaptive,
-    ] {
+    for mode in [FreeMode::Batch, FreeMode::amortized(), FreeMode::Pooled] {
         stress(SmrKind::TokenPeriodic, mode, 4, 2_000);
     }
 }
@@ -220,6 +215,5 @@ fn scan_family_never_double_frees_or_loses_blocks() {
     ] {
         stress(kind, FreeMode::Batch, 4, 1_500);
         stress(kind, FreeMode::amortized(), 4, 1_500);
-        stress(kind, FreeMode::Adaptive, 4, 1_500);
     }
 }

@@ -280,36 +280,35 @@ impl AbTree {
     fn leaf_split(&self, leaf: &Node, key: u64, value: u64) -> (Node, Node, u64) {
         let len = leaf.len();
         debug_assert_eq!(len, CAP);
-        let mut keys = Vec::with_capacity(CAP + 1);
-        let mut vals = Vec::with_capacity(CAP + 1);
         let pos = leaf.keys[..len]
             .iter()
             .position(|&k| k > key)
             .unwrap_or(len);
-        for i in 0..pos {
-            keys.push(leaf.keys[i]);
-            vals.push(leaf.slots[i].load(Ordering::Acquire));
-        }
-        keys.push(key);
-        vals.push(value as usize);
-        for i in pos..len {
-            keys.push(leaf.keys[i]);
-            vals.push(leaf.slots[i].load(Ordering::Acquire));
-        }
-        let mid = keys.len() / 2;
+        // Entry `j` of the merged run goes straight into its half — no
+        // scratch buffer: a split sits on the update path whose allocator
+        // traffic is the experiment, so it must not reach the process heap.
+        const RUN: usize = CAP + 1;
+        let mid = RUN / 2;
         let mut left = Node::blank(true);
         let mut right = Node::blank(true);
-        for i in 0..mid {
-            left.keys[i] = keys[i];
-            left.slots[i] = AtomicUsize::new(vals[i]);
+        for j in 0..RUN {
+            let (k, v) = if j == pos {
+                (key, value as usize)
+            } else {
+                let i = j - usize::from(j > pos);
+                (leaf.keys[i], leaf.slots[i].load(Ordering::Acquire))
+            };
+            let (half, at) = if j < mid {
+                (&mut left, j)
+            } else {
+                (&mut right, j - mid)
+            };
+            half.keys[at] = k;
+            half.slots[at] = AtomicUsize::new(v);
         }
         left.len = mid as u8;
-        for i in mid..keys.len() {
-            right.keys[i - mid] = keys[i];
-            right.slots[i - mid] = AtomicUsize::new(vals[i]);
-        }
-        right.len = (keys.len() - mid) as u8;
-        let sep = keys[mid];
+        right.len = (RUN - mid) as u8;
+        let sep = right.keys[0];
         (left, right, sep)
     }
 

@@ -196,14 +196,6 @@ impl WorkloadCfg {
         self
     }
 
-    /// Switches to the adaptive batch-free controller (the `_adapt`
-    /// variant: `bag_cap` becomes the controller's initial operating
-    /// point).
-    pub fn adaptive(mut self) -> Self {
-        self.free_mode = FreeMode::Adaptive;
-        self
-    }
-
     /// Explicit free mode.
     pub fn with_mode(mut self, mode: FreeMode) -> Self {
         self.free_mode = mode;
@@ -291,10 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_label_and_backlog_knob() {
-        let cfg = WorkloadCfg::new(TreeKind::Ab, SmrKind::TokenPeriodic, 2).adaptive();
-        assert_eq!(cfg.free_mode, FreeMode::Adaptive);
-        assert_eq!(cfg.scheme_label(), "token_adapt");
+    fn af_backlog_knob_is_independent_of_bag_cap() {
+        let cfg = WorkloadCfg::new(TreeKind::Ab, SmrKind::TokenPeriodic, 2).amortized();
+        assert_eq!(cfg.scheme_label(), "token_af");
         // The relief valve has its own knob, independent of bag_cap.
         if std::env::var("EPIC_AF_BACKLOG_CAP").is_err() {
             assert_eq!(cfg.af_backlog_cap, cfg.bag_cap * 4);

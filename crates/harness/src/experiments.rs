@@ -1305,122 +1305,6 @@ pub fn ablation_update_ratio() -> ExperimentResult {
     out
 }
 
-/// The adaptive batch-free controller ("the paper as a product"): the
-/// `_adapt` variant against the best *static* configuration it is supposed
-/// to discover on its own.
-///
-/// Two grids. (1) The Fig. 12 shape: token and nbr+ across the thread
-/// sweep, where the static candidates at each point are the two fixed
-/// modes the paper compares (batch and af) — the controller must track
-/// whichever wins without being told which. (2) The bag-cap ablation
-/// grid: static AF at each cap vs one adaptive run that starts from the
-/// default cap and must find its own operating point.
-pub fn adaptive_tracking() -> ExperimentResult {
-    let scale = ExperimentScale::detect();
-    let mut out = ExperimentResult::new("adaptive_tracking");
-    let mut t = Table::new(
-        "adaptive_tracking",
-        "Adaptive controller vs best static configuration (ABtree, Je)",
-        &[
-            "scheme",
-            "threads",
-            "best static Mops/s",
-            "ADAPT Mops/s",
-            "ADAPT/best",
-        ],
-    );
-    for kind in [SmrKind::TokenPeriodic, SmrKind::NbrPlus] {
-        let name = kind.base_name();
-        let last = scale.max_threads;
-        for &n in &scale.sweep {
-            let orig = run_trials(&WorkloadCfg::new(TreeKind::Ab, kind, n), scale.trials);
-            let af = run_trials(
-                &WorkloadCfg::new(TreeKind::Ab, kind, n).amortized(),
-                scale.trials,
-            );
-            let adapt = run_trials(
-                &WorkloadCfg::new(TreeKind::Ab, kind, n).adaptive(),
-                scale.trials,
-            );
-            let best = orig.throughput.mean().max(af.throughput.mean());
-            let ratio = adapt.throughput.mean() / best.max(1.0);
-            out.push(
-                format!("adapt_by_threads/{name}"),
-                adapt.throughput.mean() / 1e6,
-            );
-            out.push(format!("best_static_by_threads/{name}"), best / 1e6);
-            out.push(format!("adapt_ratio_by_threads/{name}"), ratio);
-            if n == last {
-                out.metric(format!("adapt_mops/{name}"), adapt.throughput.mean() / 1e6);
-                out.metric(format!("best_static_mops/{name}"), best / 1e6);
-                out.metric(format!("adapt_ratio/{name}"), ratio);
-                out.metric(
-                    format!("rel_ci95/{name}"),
-                    adapt
-                        .throughput_rel_ci95()
-                        .max(orig.throughput_rel_ci95())
-                        .max(af.throughput_rel_ci95()),
-                );
-                out.push("adapt_ratio_field", ratio);
-            }
-            t.row(vec![
-                format!("{name}_adapt"),
-                n.to_string(),
-                fmt_mops(best),
-                fmt_mops(adapt.throughput.mean()),
-                format!("{ratio:.2}x"),
-            ]);
-        }
-    }
-    // The ablation grid: same caps as `ablation_bag_cap` minus one point
-    // to keep the shard cost sane.
-    let n = scale.max_threads;
-    let mut best_static = 0.0f64;
-    let mut worst_static = f64::INFINITY;
-    for cap in [512usize, 8192, 32_768] {
-        let mut cfg = WorkloadCfg::new(TreeKind::Ab, SmrKind::NbrPlus, n).amortized();
-        cfg.bag_cap = cap;
-        let r = run_trial(&cfg);
-        out.metric(format!("static_mops/cap{cap}"), r.throughput / 1e6);
-        best_static = best_static.max(r.throughput);
-        worst_static = worst_static.min(r.throughput);
-        t.row(vec![
-            format!("nbr+_af cap={cap}"),
-            n.to_string(),
-            fmt_mops(r.throughput),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    let adapt = run_trial(&WorkloadCfg::new(TreeKind::Ab, SmrKind::NbrPlus, n).adaptive());
-    let cap_ratio = adapt.throughput / best_static.max(1.0);
-    out.metric("adapt_grid_mops", adapt.throughput / 1e6);
-    out.metric("worst_static_mops", worst_static / 1e6);
-    out.metric("adapt_vs_best_cap_ratio", cap_ratio);
-    // The PR 2 invariant must hold for the new variant too: the adaptive
-    // retire path performs no steady-state heap allocations (small
-    // per-thread constant = first-borrow scratch only).
-    out.metric(
-        "adapt_retire_path_allocs",
-        adapt.smr.retire_path_allocs as f64,
-    );
-    out.metric("adapt_peak_garbage", adapt.smr.peak_garbage as f64);
-    t.row(vec![
-        "nbr+_adapt".into(),
-        n.to_string(),
-        fmt_mops(best_static),
-        fmt_mops(adapt.throughput),
-        format!("{cap_ratio:.2}x"),
-    ]);
-    t.emit_into(&mut out);
-    println!(
-        "expectation: _adapt tracks the best static configuration on both grids without \
-         per-workload hand-tuning (the paper's 'no fixed knob is right everywhere' as a \
-         product).\n"
-    );
-    out
-}
-
 /// An experiment entry point: runs, prints, returns the structured
 /// result.
 pub type ExperimentFn = fn() -> ExperimentResult;
@@ -1542,7 +1426,6 @@ pub fn all_experiments() -> Vec<Experiment> {
         e("ablation_pooled", ablation_pooled, 3),
         e("ablation_allocator_fix", ablation_allocator_fix, 3),
         e("ablation_ds_generality", ablation_ds_generality, 8),
-        e("adaptive_tracking", adaptive_tracking, 35),
     ];
     all.extend(crate::scenario::generated_experiments());
     all
@@ -1565,7 +1448,8 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let all = all_experiments();
-        assert!(all.len() >= 25, "expected the full experiment index");
+        let builtin = all.iter().filter(|e| e.origin == Origin::Builtin);
+        assert_eq!(builtin.count(), 31, "the paper's artifacts, nothing else");
         let ids: std::collections::HashSet<_> = all.iter().map(|e| e.id.as_str()).collect();
         assert_eq!(ids.len(), all.len(), "duplicate experiment ids");
         assert!(run_by_name("nonexistent_experiment").is_none());

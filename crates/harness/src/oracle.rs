@@ -18,7 +18,7 @@
 //! Tolerances are *relative*: an [`Check::Ordering`] with `tol = 0.10`
 //! accepts `greater ≥ 0.9 × lesser`. When an experiment reports a
 //! measured noise level (`rel_ci95/...` metrics from multi-trial runs),
-//! [`evaluate`] widens the tolerance by it, so the same oracle adapts to
+//! [`evaluate`] widens the tolerance by it, so the same oracle adjusts to
 //! however noisy the box happens to be (DESIGN.md §6).
 
 use crate::config::ExperimentScale;
@@ -1247,71 +1247,6 @@ pub fn all_oracles() -> Vec<Oracle> {
                 "ABtree gains at least the list's",
                 "af_ratio/abtree",
                 "af_ratio/hmlist",
-            )
-            .advisory()
-            .tol(0.15),
-        ),
-        Oracle::new(
-            "adaptive_tracking",
-            "the _adapt controller tracks the best static configuration on the fig12 sweep \
-             and the bag-cap grid without hand-tuning",
-        )
-        .check(at_least(
-            "both grids measured (sweep x 2 schemes + cap grid)",
-            "rows/adaptive_tracking",
-            2.0 * sweep + 4.0,
-        ))
-        .check(at_most(
-            "adaptive retire path stays allocation-free (scratch first-borrows only)",
-            "adapt_retire_path_allocs",
-            scale.max_threads as f64 * 8.0,
-        ))
-        .check(demote_at_millis(
-            ratio_at_least(
-                "token_adapt within tolerance of best static",
-                "adapt_mops/token",
-                "best_static_mops/token",
-                1.0,
-            )
-            .advisory()
-            .tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(demote_at_millis(
-            ratio_at_least(
-                "nbr+_adapt within tolerance of best static",
-                "adapt_mops/nbr+",
-                "best_static_mops/nbr+",
-                1.0,
-            )
-            .advisory()
-            .tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(demote_at_millis(
-            ratio_at_least(
-                "adaptive beats the worst static cap on the ablation grid",
-                "adapt_grid_mops",
-                "worst_static_mops",
-                1.0,
-            )
-            .advisory()
-            .tol(0.1),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            // The controller's signals see allocator pressure, not cache
-            // locality; on hosts where the winning static cap wins purely
-            // through locality it holds the configured operating point, so
-            // the best-cap bound is deliberately looser than the fig12 one
-            // (DESIGN.md §10 discusses the limits).
-            at_least(
-                "adaptive stays near the best bag cap on the ablation grid",
-                "adapt_vs_best_cap_ratio",
-                0.65,
             )
             .advisory()
             .tol(0.15),

@@ -117,7 +117,7 @@ pub struct Cell {
     pub tree: TreeKind,
     /// Reclamation scheme.
     pub smr: SmrKind,
-    /// Free mode (batch/af/bg/pool/adapt).
+    /// Free mode (batch/af/bg/pool).
     pub mode: FreeMode,
     /// Allocator model.
     pub alloc: AllocatorKind,
@@ -329,10 +329,7 @@ fn parse_scenario(
         None => vec![FreeMode::Batch],
         Some(raw) => raw
             .iter()
-            .map(|s| {
-                FreeMode::parse(s)
-                    .ok_or_else(|| format!("runbook: {}: unknown mode '{s}'", what("modes")))
-            })
+            .map(|s| FreeMode::parse(s).map_err(|e| format!("runbook: {}: {e}", what("modes"))))
             .collect::<Result<Vec<_>, _>>()?,
     };
     let allocs = match axis_strings(sc, "allocs", &what("allocs"))? {
@@ -980,13 +977,13 @@ mod tests {
 
     #[test]
     fn oversized_cross_products_are_rejected() {
-        // 4 trees × 13 smrs × 5 modes × 5 allocs = 1300 > 512.
+        // 4 trees × 13 smrs × 4 modes × 5 allocs = 1040 > 512.
         let src = r#"{"schema": "epic-runbook-v1", "name": "x", "scenarios": [
             {"name": "s",
              "trees": ["ab", "occ", "dgt", "hm"],
              "smrs": ["none", "qsbr", "rcu", "debra", "token_naive", "token_passfirst",
                       "token", "hp", "he", "ibr", "nbr", "nbr+", "wfe"],
-             "modes": ["batch", "af", "bg", "pool", "adapt"],
+             "modes": ["batch", "af", "bg", "pool"],
              "allocs": ["je", "je_incr", "tc", "mi", "sys"],
              "threads": 1}]}"#;
         let err = Runbook::parse(src).unwrap_err();

@@ -176,6 +176,19 @@ fn epic_run_rejects_unknown_experiment_and_lists_valid_ids() {
     }
 }
 
+/// `adaptive_tracking` was a builtin until ISSUE 16 deleted it: a stale
+/// script gets the usage error a typo gets, bare and under `check`.
+#[test]
+fn epic_run_rejects_the_deleted_adaptive_tracking_id() {
+    for args in [&["adaptive_tracking"][..], &["check", "adaptive_tracking"]] {
+        let out = epic_run(args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown experiment 'adaptive_tracking'"));
+        assert!(stderr.contains("fig1_scaling"), "lists valid ids: {stderr}");
+    }
+}
+
 /// Every experiment `epic-run list` names has exactly one oracle, in the
 /// same order, and there are no orphan oracles pointing at ids the
 /// registry no longer knows.

@@ -175,4 +175,11 @@ fn hostile_axis_values_are_clean_errors() {
         let err = Runbook::parse(&base(axis)).expect_err(axis);
         assert!(!err.is_empty(), "{axis}: diagnostic must not be empty");
     }
+    // The free mode ISSUE 16 deleted: an error listing what is accepted.
+    for mode in ["adapt", "adaptive"] {
+        let axis = format!(r#""threads": 1, "modes": ["{mode}"]"#);
+        let err = Runbook::parse(&base(&axis)).expect_err(mode);
+        assert!(err.contains(&format!("unknown mode '{mode}'")), "{err}");
+        assert!(err.contains("batch, amortized|af, background|bg, pooled|pool"));
+    }
 }

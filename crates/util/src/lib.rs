@@ -17,6 +17,7 @@ pub mod http;
 pub mod json;
 pub mod locks;
 pub mod rng;
+pub mod slotblocks;
 pub mod stats;
 pub mod tidslots;
 pub mod timeutil;
@@ -27,6 +28,7 @@ pub use cache_padded::CachePadded;
 pub use json::Json;
 pub use locks::{SeqLock, TicketLock};
 pub use rng::{SplitMix64, XorShift64, Zipfian};
+pub use slotblocks::SlotBlocks;
 pub use stats::{LogHistogram, OnlineStats};
 pub use tidslots::TidSlots;
 pub use timeutil::{busy_spin_ns, now_ns, Clock};

@@ -373,6 +373,36 @@ impl LogHistogram {
     }
 }
 
+/// 1-in-[`Sampler::PERIOD`] sampling for timing a per-operation fast path:
+/// two clock reads per call would dominate the call they time, so one call
+/// in `PERIOD` is clocked and stands for the whole period. The allocator
+/// models' alloc/dealloc counters and the scheme layer's amortized drain
+/// share this one copy, so a trial's sampled `free_ns` / `alloc_ns` cannot
+/// drift apart. Owner-thread `Cell`, like the counter blocks that embed it.
+#[derive(Debug, Default)]
+pub struct Sampler {
+    tick: std::cell::Cell<u64>,
+}
+
+impl Sampler {
+    /// Calls per timed call (power of two).
+    pub const PERIOD: u64 = 64;
+
+    /// Counts one call; true when this call is the one to time.
+    #[inline]
+    pub fn fire(&self) -> bool {
+        let t = self.tick.get().wrapping_add(1);
+        self.tick.set(t);
+        t.is_multiple_of(Self::PERIOD)
+    }
+
+    /// The time a sampled duration stands for (`ns` per call of the period).
+    #[inline]
+    pub const fn extrapolate(ns: u64) -> u64 {
+        ns * Self::PERIOD
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
