@@ -13,69 +13,38 @@
 //! * **get** — pure lookups over a prefilled list; hop cost only.
 //! * **mixed** — 90% lookups / 10% updates (alternating insert/remove of
 //!   a rotating key) under amortized freeing, so the retire/alloc/drain
-//!   path runs at its steady-state rate. A counting `#[global_allocator]`
-//!   observes heap traffic from below: in steady state the handle path
-//!   must allocate **zero** heap memory per operation (the `none` scheme
-//!   is exempt — its garbage grows by definition).
+//!   path runs at its steady-state rate. The `mixed alloc/op` column is the
+//!   thread's process-heap allocations through [`CountingAlloc`]: 0 for
+//!   every reclaiming scheme (`none` grows its chunk store by definition).
+//!
+//! An instrument, not a gate: ns/op on shared hardware is advisory, and the
+//! zero-allocation invariant is asserted exactly, for every scheme, by
+//! `cargo test -p epic-ds --test no_global_heap`.
 //!
 //! The minimum over measurement windows is reported, criterion-style.
-//! Results go to stdout and `results/<EPIC_HANDLE_OUT>` (default
-//! `BENCH_handle.json`). The committed `BENCH_handle_baseline.json` /
-//! `BENCH_handle.json` pair was recorded as the per-scheme minimum over
-//! five *interleaved* process runs of this bench against the pre-handle
-//! tid-based API and the handle path respectively (identical loop
-//! shape), so the two files are directly comparable and machine drift
-//! cancels.
+//! Results go to stdout and `results/BENCH_handle.json`. The committed file
+//! is the per-scheme minimum over five process runs *interleaved* with the
+//! same loop over the pre-handle tid-based API, so machine drift cancels;
+//! commit `dafff1c` holds both halves of that pair under `results/`.
 //!
 //! Knobs: `EPIC_HANDLE_OPS` (measured ops per regime, default 200000),
-//! `EPIC_HANDLE_KEYS` (list size, default 64), `EPIC_HANDLE_OUT`,
-//! `EPIC_HANDLE_ASSERT` (=0 disables the zero-alloc gate).
+//! `EPIC_HANDLE_KEYS` (list size, default 64).
 
 use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 use epic_ds::{ConcurrentMap, HmList};
 use epic_harness::report::results_dir;
 use epic_smr::{build_smr, FreeMode, SmrConfig, SmrHandle, SmrKind};
-use epic_util::{now_ns, XorShift64};
+use epic_util::topology::env_usize;
+use epic_util::{now_ns, CountingAlloc, XorShift64};
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Heap allocation calls observed below everything.
-static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Limbo-bag capacity; also sizes the mixed regime's warm-up.
+const BAG_CAP: usize = 256;
 
 struct Row {
     scheme: &'static str,
@@ -89,7 +58,7 @@ fn make_list(kind: SmrKind) -> HmList {
     let alloc = build_allocator(AllocatorKind::Je, 1, CostModel::zero());
     let mut cfg = SmrConfig::new(1)
         .with_mode(FreeMode::Amortized { per_op: 1 })
-        .with_bag_cap(256);
+        .with_bag_cap(BAG_CAP);
     cfg.epoch_check_every = 4;
     cfg.era_freq = 64;
     HmList::new(build_smr(kind, Arc::clone(&alloc), cfg))
@@ -120,8 +89,8 @@ fn bench_scheme(kind: SmrKind, ops: usize, keys: u64) -> Row {
         get_best = get_best.min(now_ns() - t0);
     }
 
-    // Regime 2: 90/10 read-mostly churn; steady-state heap allocs must be
-    // zero (AF recycling keeps the chunk store flat).
+    // Regime 2: 90/10 read-mostly churn (AF recycling keeps the chunk
+    // store flat, so steady-state heap allocs read zero).
     let mixed_loop = |rng: &mut XorShift64, n: usize| {
         for i in 0..n {
             let key = rng.next_bounded(keys);
@@ -136,29 +105,32 @@ fn bench_scheme(kind: SmrKind, ops: usize, keys: u64) -> Row {
             }
         }
     };
-    mixed_loop(&mut rng, ops.max(4096) / 2); // warm-up
-    let a0 = HEAP_ALLOCS.load(Ordering::Relaxed);
-    let mut mixed_best = u64::MAX;
-    for _ in 0..WINDOWS {
-        let t0 = now_ns();
-        mixed_loop(&mut rng, per_window);
-        mixed_best = mixed_best.min(now_ns() - t0);
+    // Warm-up by reclamation progress (four bags retired), not an op
+    // count: at any `EPIC_HANDLE_OPS` the first scans and their one-off
+    // scratch-pool misses are behind the measured window.
+    while list.smr().stats().retired < 4 * BAG_CAP as u64 {
+        mixed_loop(&mut rng, 1000);
     }
-    let a1 = HEAP_ALLOCS.load(Ordering::Relaxed);
+    let mut mixed_best = u64::MAX;
+    let ((), mixed_heap_allocs) = CountingAlloc::count(|| {
+        for _ in 0..WINDOWS {
+            let t0 = now_ns();
+            mixed_loop(&mut rng, per_window);
+            mixed_best = mixed_best.min(now_ns() - t0);
+        }
+    });
 
     Row {
         scheme: kind.base_name(),
         get_ns: get_best as f64 / per_window as f64,
         mixed_ns: mixed_best as f64 / per_window as f64,
-        mixed_allocs: (a1 - a0) as f64 / (per_window * WINDOWS) as f64,
+        mixed_allocs: mixed_heap_allocs as f64 / (per_window * WINDOWS) as f64,
     }
 }
 
 fn main() {
     let ops = env_usize("EPIC_HANDLE_OPS", 200_000);
     let keys = env_usize("EPIC_HANDLE_KEYS", 64) as u64;
-    let out_name =
-        std::env::var("EPIC_HANDLE_OUT").unwrap_or_else(|_| "BENCH_handle.json".to_string());
 
     println!("microbench_handle: hmlist, 1 thread, {keys} keys, {ops} ops/regime (af, per_op=1)");
     println!(
@@ -189,22 +161,9 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let path = results_dir().join(&out_name);
+    let path = results_dir().join("BENCH_handle.json");
     match std::fs::write(&path, json) {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-
-    // Gate, don't just report: the steady-state handle path must not touch
-    // the heap (`none` exempt: its chunk store grows forever by design).
-    if env_usize("EPIC_HANDLE_ASSERT", 1) != 0 {
-        for r in rows.iter().filter(|r| r.scheme != "none") {
-            assert_eq!(
-                r.mixed_allocs, 0.0,
-                "{}: steady-state handle path allocated on the heap",
-                r.scheme
-            );
-        }
-        println!("zero-allocation invariant holds for all reclaiming schemes");
     }
 }

@@ -14,61 +14,30 @@
 //!   freeable-list drain all run at their steady-state rates. A correct
 //!   zero-allocation pipeline performs **no** heap allocation here at all.
 //!
-//! Heap traffic is observed from below via a counting `#[global_allocator]`
-//! wrapper, so the numbers are ground truth rather than self-reported; the
+//! Heap traffic is observed from below through [`CountingAlloc`], so the
+//! alloc columns are ground truth rather than self-reported; the
 //! scheme-reported `retire_path_allocs` counter (segment-pool misses) is
-//! printed alongside for cross-checking. Results go to stdout and to
-//! `results/<EPIC_RETIRE_OUT>` (default `BENCH_retire.json`) so rewrites of
-//! the pipeline can record before/after deltas.
+//! printed alongside for cross-checking. Both read 0 for every reclaiming
+//! scheme. This is an instrument, not a gate: shared hardware makes its
+//! ns/op advisory, and the zero-allocation invariant is asserted exactly,
+//! for every scheme, by `cargo test -p epic-ds --test no_global_heap`.
+//! Results go to stdout and to `results/BENCH_retire.json`; the record from
+//! before the intrusive-bag rewrite is in commit `f78971e`.
 //!
 //! Knobs: `EPIC_RETIRE_BURST` (objects per burst round, default 32768),
 //! `EPIC_RETIRE_ROUNDS` (burst rounds, default 5), `EPIC_RETIRE_OPS`
-//! (measured steady ops, default 200000), `EPIC_RETIRE_OUT`.
+//! (measured steady ops, default 200000).
 
 use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 use epic_harness::report::results_dir;
 use epic_smr::{build_smr, FreeMode, SmrConfig, SmrKind};
-use epic_util::now_ns;
+use epic_util::topology::env_usize;
+use epic_util::{now_ns, CountingAlloc};
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Heap allocation calls observed below everything (allocator models,
-/// schemes, harness).
-static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Row {
     scheme: &'static str,
@@ -97,22 +66,22 @@ fn bench_burst(kind: SmrKind, burst: usize, rounds: usize) -> (f64, f64) {
                 p
             })
             .collect();
-        let a0 = HEAP_ALLOCS.load(Ordering::Relaxed);
-        let t0 = now_ns();
-        for &p in &blocks {
-            // A real caller retires a node it just unlinked: the operation
-            // has touched the node's memory moments before. Reproduce that
-            // locality so the bench measures the production call pattern,
-            // not a cold-memory sweep.
-            // SAFETY: `p` is a live 64-byte block owned by this loop.
-            unsafe { (p.as_ptr() as *mut u64).write(0) };
-            smr.retire(0, p);
-        }
-        smr.quiesce_and_drain();
-        let t1 = now_ns();
-        let a1 = HEAP_ALLOCS.load(Ordering::Relaxed);
-        best_ns = best_ns.min(t1 - t0);
-        total_allocs += a1 - a0;
+        let (ns, allocs) = CountingAlloc::count(|| {
+            let t0 = now_ns();
+            for &p in &blocks {
+                // A real caller retires a node it just unlinked: the
+                // operation has touched the node's memory moments before.
+                // Reproduce that locality so the bench measures the
+                // production call pattern, not a cold-memory sweep.
+                // SAFETY: `p` is a live 64-byte block owned by this loop.
+                unsafe { (p.as_ptr() as *mut u64).write(0) };
+                smr.retire(0, p);
+            }
+            smr.quiesce_and_drain();
+            now_ns() - t0
+        });
+        best_ns = best_ns.min(ns);
+        total_allocs += allocs;
     }
     (
         best_ns as f64 / burst as f64,
@@ -147,19 +116,19 @@ fn bench_steady(kind: SmrKind, ops: usize) -> (f64, f64, u64) {
     churn(ops.max(4096) / 2);
     let per_window = (ops / WINDOWS).max(1);
     let snap0 = smr.stats();
-    let a0 = HEAP_ALLOCS.load(Ordering::Relaxed);
     let mut best_ns = u64::MAX;
-    for _ in 0..WINDOWS {
-        let t0 = now_ns();
-        churn(per_window);
-        best_ns = best_ns.min(now_ns() - t0);
-    }
-    let a1 = HEAP_ALLOCS.load(Ordering::Relaxed);
+    let ((), allocs) = CountingAlloc::count(|| {
+        for _ in 0..WINDOWS {
+            let t0 = now_ns();
+            churn(per_window);
+            best_ns = best_ns.min(now_ns() - t0);
+        }
+    });
     let snap1 = smr.stats();
     smr.quiesce_and_drain();
     (
         best_ns as f64 / per_window as f64,
-        (a1 - a0) as f64 / (per_window * WINDOWS) as f64,
+        allocs as f64 / (per_window * WINDOWS) as f64,
         snap1.retire_path_allocs - snap0.retire_path_allocs,
     )
 }
@@ -168,8 +137,6 @@ fn main() {
     let burst = env_usize("EPIC_RETIRE_BURST", 32_768);
     let rounds = env_usize("EPIC_RETIRE_ROUNDS", 5);
     let ops = env_usize("EPIC_RETIRE_OPS", 200_000);
-    let out_name =
-        std::env::var("EPIC_RETIRE_OUT").unwrap_or_else(|_| "BENCH_retire.json".to_string());
 
     println!("microbench_retire: burst={burst}x{rounds} rounds, steady={ops} ops (af, per_op=1)");
     println!(
@@ -219,31 +186,9 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let path = results_dir().join(&out_name);
+    let path = results_dir().join("BENCH_retire.json");
     match std::fs::write(&path, json) {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-
-    // Enforce the invariant, not just report it: for every reclaiming
-    // scheme the steady state must perform zero heap allocations, both by
-    // the ground-truth global-allocator count and by the scheme-reported
-    // counter. (`none` is exempt: its heap grows forever by definition.)
-    // EPIC_RETIRE_ASSERT=0 disables the gate for deliberately recording a
-    // pre-rewrite baseline.
-    if env_usize("EPIC_RETIRE_ASSERT", 1) != 0 {
-        for r in rows.iter().filter(|r| r.scheme != "none") {
-            assert_eq!(
-                r.steady_allocs, 0.0,
-                "{}: steady-state retire path allocated on the heap",
-                r.scheme
-            );
-            assert_eq!(
-                r.smr_retire_path_allocs, 0,
-                "{}: retire_path_allocs counter nonzero in steady state",
-                r.scheme
-            );
-        }
-        println!("zero-allocation invariant holds for all reclaiming schemes");
     }
 }

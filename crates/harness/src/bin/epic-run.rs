@@ -16,8 +16,6 @@
 //! epic-run check all -j 4 --events results/events.ndjson  # NDJSON progress
 //! epic-run merge-shapes a.json b.json c.json   # fan shards back in
 //! epic-run replay <hash> [--against results/SHAPES.json]  # re-run by provenance
-//! epic-run bench-diff results/BENCH_handle_baseline.json \
-//!          results/BENCH_handle.json --max-regress 15%
 //! EPIC_RUNBOOK=runbooks/smoke.json epic-run check all -j 2  # scenario sweep
 //! EPIC_MILLIS=5000 EPIC_TRIALS=3 epic-run check all -j $(nproc)  # paper-scale
 //! ```
@@ -33,10 +31,10 @@
 use epic_harness::experiments::{
     all_experiments, experiment_by_name, run_by_name, Experiment, ExperimentRun, Origin,
 };
-use epic_harness::oracle::{evaluate, oracle_for, render_verdict_table};
+use epic_harness::oracle::{evaluate, render_verdict_table};
+use epic_harness::runner;
 use epic_harness::scenario;
 use epic_harness::shapes::{RunnerMeta, ShapeRecord, ShapesDoc};
-use epic_harness::{benchdiff, runner};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -59,7 +57,6 @@ fn main() {
         }
         Some("check") => std::process::exit(run_check(&rest)),
         Some("merge-shapes") => std::process::exit(run_merge(&rest)),
-        Some("bench-diff") => std::process::exit(run_bench_diff(&rest)),
         Some("replay") => std::process::exit(run_replay(&rest)),
         Some("--one") => std::process::exit(run_one(&rest)),
         Some(name) => {
@@ -308,30 +305,35 @@ fn run_check(rest: &[&str]) -> i32 {
         Some((k, n)) => format!("{k}/{n}"),
         None => "1/1".to_string(),
     };
+    let events = opts.events.as_deref();
     let doc = if opts.jobs <= 1 {
-        match check_serial(&selected, &shard_label, opts.events.as_deref()) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
+        check_serial(&selected, &shard_label, events)
     } else {
-        match runner::run_parallel(
-            &selected,
-            opts.jobs,
-            opts.timeout,
-            &shard_label,
-            opts.events.as_deref(),
-        ) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
+        runner::run_parallel(&selected, opts.jobs, opts.timeout, &shard_label, events)
     };
-    finish_check(&doc)
+    match doc {
+        Ok(doc) => finish_check(&doc),
+        Err(e) => {
+            eprintln!("{e}");
+            2
+        }
+    }
+}
+
+/// Executes `e`, times it, evaluates its oracle and prints the
+/// per-assertion trace — the one in-process path behind serial `check`
+/// and the `--one` child mode.
+fn run_checked(e: &Experiment) -> ShapeRecord {
+    let oracle = e.oracle();
+    let started = Instant::now();
+    let result = e.execute();
+    let duration_ms = started.elapsed().as_secs_f64() * 1e3;
+    let report = evaluate(&oracle, &result);
+    for o in &report.outcomes {
+        let mark = if o.passed { "ok  " } else { "MISS" };
+        println!("  [{mark}] ({}) {} — {}", o.tier.name(), o.label, o.detail);
+    }
+    ShapeRecord::from_run(report, &result, duration_ms, 1)
 }
 
 /// The serial in-process path: identical to the pre-engine behavior
@@ -344,7 +346,7 @@ fn check_serial(
     shard_label: &str,
     events_path: Option<&std::path::Path>,
 ) -> Result<ShapesDoc, String> {
-    use epic_harness::runner::pool::{unix_ms, EventKind, PoolEvent};
+    use epic_harness::runner::pool::{EventKind, JobSpec, PoolEvent};
     use std::io::Write as _;
     let mut events_sink = match events_path {
         Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p).map_err(
@@ -358,55 +360,21 @@ fn check_serial(
             let _ = w.flush();
         }
     };
+    let event = |kind, e: &Experiment| PoolEvent::new(kind, &JobSpec::for_experiment(e), 1);
     for e in selected {
-        emit(PoolEvent {
-            kind: EventKind::Queued,
-            experiment: e.id.to_string(),
-            tag: 0,
-            attempt: 1,
-            ts_ms: unix_ms(),
-            duration_ms: None,
-            outcome: None,
-            verdict: None,
-            will_retry: None,
-        });
+        emit(event(EventKind::Queued, e));
     }
     let mut records = Vec::new();
     for e in selected {
         println!("\n##### check {} #####", e.id);
-        let oracle = oracle_for(&e.id)
-            .unwrap_or_else(|| panic!("experiment '{}' has no registered oracle", e.id));
-        emit(PoolEvent {
-            kind: EventKind::Started,
-            experiment: e.id.to_string(),
-            tag: 0,
-            attempt: 1,
-            ts_ms: unix_ms(),
-            duration_ms: None,
-            outcome: None,
-            verdict: None,
-            will_retry: None,
-        });
-        let started = Instant::now();
-        let result = e.execute();
-        let duration_ms = started.elapsed().as_secs_f64() * 1e3;
-        let report = evaluate(&oracle, &result);
-        for o in &report.outcomes {
-            let mark = if o.passed { "ok  " } else { "MISS" };
-            println!("  [{mark}] ({}) {} — {}", o.tier.name(), o.label, o.detail);
-        }
-        emit(PoolEvent {
-            kind: EventKind::Finished,
-            experiment: e.id.to_string(),
-            tag: 0,
-            attempt: 1,
-            ts_ms: unix_ms(),
-            duration_ms: Some(duration_ms),
-            outcome: Some("completed".to_string()),
-            verdict: Some(report.verdict().to_string()),
-            will_retry: None,
-        });
-        records.push(ShapeRecord::from_run(report, &result, duration_ms, 1));
+        emit(event(EventKind::Started, e));
+        let rec = run_checked(e);
+        let mut finished = event(EventKind::Finished, e);
+        finished.duration_ms = Some(rec.duration_ms);
+        finished.outcome = Some("completed".to_string());
+        finished.verdict = Some(rec.report.verdict().to_string());
+        emit(finished);
+        records.push(rec);
     }
     Ok(ShapesDoc {
         records,
@@ -448,19 +416,8 @@ fn run_one(rest: &[&str]) -> i32 {
         unknown_experiment(id);
         return 2;
     };
-    let oracle =
-        oracle_for(id).unwrap_or_else(|| panic!("experiment '{id}' has no registered oracle"));
-    let started = Instant::now();
-    let result = e.execute();
-    let duration_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = evaluate(&oracle, &result);
-    for o in &report.outcomes {
-        let mark = if o.passed { "ok  " } else { "MISS" };
-        println!("  [{mark}] ({}) {} — {}", o.tier.name(), o.label, o.detail);
-    }
-    let strict_failures = report.strict_failures();
     let doc = ShapesDoc {
-        records: vec![ShapeRecord::from_run(report, &result, duration_ms, 1)],
+        records: vec![run_checked(&e)],
         runner: RunnerMeta {
             shard: "job".to_string(),
             jobs: 1,
@@ -470,7 +427,7 @@ fn run_one(rest: &[&str]) -> i32 {
         eprintln!("--one {id}: could not write {json_path}: {err}");
         return 3;
     }
-    i32::from(strict_failures > 0)
+    i32::from(doc.strict_failures() > 0)
 }
 
 /// `merge-shapes <files...>`: combine shard documents (v1 or v2) into
@@ -608,52 +565,4 @@ fn run_replay(rest: &[&str]) -> i32 {
         det.len()
     );
     0
-}
-
-/// `bench-diff <baseline.json> <current.json> [--max-regress P%]`.
-fn run_bench_diff(rest: &[&str]) -> i32 {
-    let (base_path, cur_path, max_regress) = match rest {
-        [b, c] => (*b, *c, 0.15),
-        [b, c, "--max-regress", p] => match benchdiff::parse_max_regress(p) {
-            Ok(frac) => (*b, *c, frac),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-        _ => {
-            eprintln!(
-                "usage: epic-run bench-diff <baseline.json> <current.json> [--max-regress 15%]"
-            );
-            return 2;
-        }
-    };
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("bench-diff: cannot read {path}: {e}"))
-    };
-    let result = read(base_path)
-        .and_then(|base| read(cur_path).map(|cur| (base, cur)))
-        .and_then(|(base, cur)| benchdiff::diff(&base, &cur, max_regress));
-    let d = match result {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    println!("{}", d.render(max_regress));
-    let regressions = d.regressions();
-    if regressions.is_empty() {
-        println!(
-            "bench-diff: {} metrics compared, no regressions ({base_path} -> {cur_path})",
-            d.rows.len()
-        );
-        0
-    } else {
-        eprintln!("bench-diff: {} regression(s):", regressions.len());
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        1
-    }
 }

@@ -3,7 +3,7 @@
 use epic_alloc::{AllocatorKind, CostModel};
 use epic_ds::TreeKind;
 use epic_smr::{FreeMode, SmrKind};
-use epic_util::topology::{env_u64, env_usize};
+use epic_util::topology::{env_u64, env_usize, warn_malformed_env};
 use epic_util::Topology;
 
 /// How workload keys are drawn from the key range.
@@ -262,8 +262,21 @@ impl ExperimentScale {
             max_threads: *sweep.last().unwrap(),
             mid_threads: sweep[sweep.len().saturating_sub(2).min(sweep.len() - 1)],
             sweep,
-            trials: env_usize("EPIC_TRIALS", 1),
+            trials: env_trials(),
         }
+    }
+}
+
+/// `EPIC_TRIALS`, read here and nowhere else. `0` is as malformed as `x`
+/// — a data point needs one trial to exist — so it warns once and falls
+/// back to the default of 1.
+pub(crate) fn env_trials() -> usize {
+    match env_usize("EPIC_TRIALS", 1) {
+        0 => {
+            warn_malformed_env("EPIC_TRIALS", "0", "usize >= 1");
+            1
+        }
+        n => n,
     }
 }
 
@@ -326,6 +339,19 @@ mod tests {
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
         }
+    }
+
+    #[test]
+    fn zero_trials_is_malformed_and_means_one() {
+        let _guard = crate::report::env_lock();
+        let outer = std::env::var_os("EPIC_TRIALS");
+        std::env::set_var("EPIC_TRIALS", "0");
+        let read = (env_trials(), ExperimentScale::detect().trials);
+        match outer {
+            Some(v) => std::env::set_var("EPIC_TRIALS", v),
+            None => std::env::remove_var("EPIC_TRIALS"),
+        }
+        assert_eq!(read, (1, 1));
     }
 
     #[test]

@@ -1373,6 +1373,23 @@ impl Experiment {
         result.provenance = Some(crate::scenario::provenance_hash(self));
         result
     }
+
+    /// The paper-shape oracle `check` judges this experiment's result by:
+    /// the builtin catalog's entry (no runbook I/O), or the one
+    /// synthesized for a scenario cell.
+    ///
+    /// # Panics
+    /// If a builtin has no catalog entry — a registry bug the
+    /// registry-agreement tests exist to catch.
+    pub fn oracle(&self) -> crate::oracle::Oracle {
+        match &self.origin {
+            Origin::Builtin => crate::oracle::builtin_oracles()
+                .into_iter()
+                .find(|o| o.experiment == self.id)
+                .unwrap_or_else(|| panic!("experiment '{}' has no registered oracle", self.id)),
+            Origin::Runbook { runbook } => crate::scenario::cell_oracle(&self.id, runbook),
+        }
+    }
 }
 
 /// Every experiment: the builtins in paper order, then any cells
@@ -1429,6 +1446,17 @@ pub fn all_experiments() -> Vec<Experiment> {
     ];
     all.extend(crate::scenario::generated_experiments());
     all
+}
+
+/// An id's position in the registry (unknown ids rank last): the sort key
+/// that puts shards and merged records back into registry order.
+pub(crate) fn registry_rank() -> impl Fn(&str) -> usize {
+    let order: std::collections::HashMap<String, usize> = all_experiments()
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| (e.id, i))
+        .collect();
+    move |id| order.get(id).copied().unwrap_or(usize::MAX)
 }
 
 /// Looks up one registry entry by id.

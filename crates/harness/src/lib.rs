@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod benchdiff;
 pub mod config;
 pub mod experiments;
 pub mod oracle;

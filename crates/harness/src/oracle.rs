@@ -534,11 +534,21 @@ fn eval_check(check: &Check, tol: f64, result: &ExperimentResult) -> (bool, Stri
 }
 
 /// One registered oracle per experiment, in registry order: the builtin
-/// catalog below, then one synthesized oracle per runbook-generated
-/// cell (see [`crate::scenario::generated_oracles`]). Every id in
-/// [`crate::experiments::all_experiments`] has exactly one entry here
-/// (enforced by `tests/cli_consistency.rs`).
+/// catalog, then the one synthesized for each runbook-generated cell.
+/// Every id in [`crate::experiments::all_experiments`] has exactly one
+/// entry here (enforced by `tests/cli_consistency.rs`). `check` itself
+/// asks each experiment for its
+/// [`oracle`](crate::experiments::Experiment::oracle).
 pub fn all_oracles() -> Vec<Oracle> {
+    let mut oracles = builtin_oracles();
+    let cells = crate::scenario::generated_experiments();
+    oracles.extend(cells.iter().map(crate::experiments::Experiment::oracle));
+    oracles
+}
+
+/// The builtin catalog, in registry order. Reads the scale knobs
+/// (`EPIC_THREADS`, `EPIC_MILLIS`) and nothing else — no runbook.
+pub(crate) fn builtin_oracles() -> Vec<Oracle> {
     let scale = ExperimentScale::detect();
     // Throughput-ratio claims (AF vs batch and friends) need steady-state
     // trials; at smoke durations they are demoted to advisory (see
@@ -552,7 +562,7 @@ pub fn all_oracles() -> Vec<Oracle> {
     let mut g_points = vec![1, 2, scale.mid_threads, scale.max_threads];
     g_points.dedup();
 
-    let mut oracles = vec![
+    vec![
         Oracle::new(
             "fig1_scaling",
             "ABtree+debra flattens while OCCtree keeps scaling; leaking closes the gap but \
@@ -1251,9 +1261,7 @@ pub fn all_oracles() -> Vec<Oracle> {
             .advisory()
             .tol(0.15),
         ),
-    ];
-    oracles.extend(crate::scenario::generated_oracles());
-    oracles
+    ]
 }
 
 /// The oracle for one experiment id.

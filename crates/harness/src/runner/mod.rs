@@ -32,8 +32,8 @@
 
 pub mod pool;
 
-use crate::experiments::{all_experiments, Experiment};
-use crate::oracle::{oracle_for, AssertionOutcome, OracleReport, Tier};
+use crate::experiments::{all_experiments, registry_rank, Experiment};
+use crate::oracle::{AssertionOutcome, OracleReport, Tier};
 use crate::report::results_dir;
 use crate::shapes::{RunnerMeta, ShapeRecord, ShapesDoc};
 use pool::{AttemptOutcome, JobSpec, Pool, PoolCfg};
@@ -82,13 +82,9 @@ pub fn partition(n: usize) -> Vec<Vec<String>> {
         let s = if round % 2 == 0 { pos } else { n - 1 - pos };
         shards[s].push(e.id);
     }
-    let order: std::collections::HashMap<String, usize> = all_experiments()
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| (e.id, i))
-        .collect();
+    let rank = registry_rank();
     for shard in &mut shards {
-        shard.sort_by_key(|id| order[id.as_str()]);
+        shard.sort_by_key(|id| rank(id));
     }
     shards
 }
@@ -164,14 +160,11 @@ pub fn sweep_run_dirs(root: &Path, keep: usize) {
 /// (or timed out) on both attempts: a single failed strict assertion, so
 /// the merged verdict table reports `FAIL` instead of silently dropping
 /// the experiment.
-fn crash_record(id: &str, attempts: u32, reason: &str, log_path: &Path) -> ShapeRecord {
-    let claim = oracle_for(id)
-        .map(|o| o.claim.to_string())
-        .unwrap_or_default();
+fn crash_record(e: &Experiment, attempts: u32, reason: &str, log_path: &Path) -> ShapeRecord {
     ShapeRecord {
         report: OracleReport {
-            experiment: id.to_string(),
-            claim,
+            experiment: e.id.clone(),
+            claim: e.oracle().claim,
             outcomes: vec![AssertionOutcome {
                 label: "experiment process completed".to_string(),
                 tier: Tier::Strict,
@@ -268,12 +261,11 @@ pub fn run_parallel(
                             end.spec.experiment,
                             end.attempt
                         );
-                        records.push(crash_record(
-                            &end.spec.experiment,
-                            end.attempt,
-                            &reason,
-                            &end.log_path,
-                        ));
+                        let e = selected
+                            .iter()
+                            .find(|e| e.id == end.spec.experiment)
+                            .expect("the pool ends only jobs submitted from `selected`");
+                        records.push(crash_record(e, end.attempt, &reason, &end.log_path));
                     }
                 }
             }
@@ -283,17 +275,8 @@ pub fn run_parallel(
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    let order: std::collections::HashMap<String, usize> = all_experiments()
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| (e.id, i))
-        .collect();
-    records.sort_by_key(|r| {
-        order
-            .get(r.report.experiment.as_str())
-            .copied()
-            .unwrap_or(usize::MAX)
-    });
+    let rank = registry_rank();
+    records.sort_by_key(|r| rank(&r.report.experiment));
     Ok(ShapesDoc {
         records,
         runner: RunnerMeta {
@@ -387,7 +370,7 @@ mod tests {
     #[test]
     fn crash_record_fails_strict() {
         let rec = crash_record(
-            "fig4_garbage",
+            &crate::experiments::experiment_by_name("fig4_garbage").unwrap(),
             2,
             "boom",
             std::path::Path::new("/tmp/x.log"),

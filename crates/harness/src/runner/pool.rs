@@ -177,7 +177,9 @@ pub struct PoolEvent {
 }
 
 impl PoolEvent {
-    fn new(kind: EventKind, spec: &JobSpec, attempt: u32) -> PoolEvent {
+    /// A `kind` event for `spec`'s `attempt`, stamped now; the
+    /// `finished`-only fields start empty.
+    pub fn new(kind: EventKind, spec: &JobSpec, attempt: u32) -> PoolEvent {
         PoolEvent {
             kind,
             experiment: spec.experiment.clone(),

@@ -40,7 +40,6 @@ use crate::workload::{run_trial, run_trials};
 use epic_alloc::AllocatorKind;
 use epic_ds::TreeKind;
 use epic_smr::{FreeMode, SmrKind};
-use epic_util::topology::env_usize;
 use epic_util::{Json, SplitMix64, Topology};
 
 use std::collections::HashSet;
@@ -630,44 +629,28 @@ pub fn generated_experiments() -> Vec<Experiment> {
     }
 }
 
-/// Synthesized oracles for the active runbook's cells, in registry
-/// order (the oracle catalog appends these so "every experiment has
-/// exactly one oracle" holds for runbooks too).
-pub fn generated_oracles() -> Vec<Oracle> {
-    oracles_for(&generated_experiments())
-}
-
-/// One synthesized oracle per generated experiment, in input order:
-/// strict completeness checks (the trial ran, the determinism probe hit
-/// its exact budget) plus an advisory throughput floor.
-pub fn oracles_for(experiments: &[Experiment]) -> Vec<Oracle> {
-    experiments
-        .iter()
-        .map(|e| {
-            let runbook = match &e.origin {
-                Origin::Runbook { runbook } => runbook.as_str(),
-                Origin::Builtin => "?",
-            };
-            Oracle {
-                experiment: e.id.clone(),
-                claim: format!(
-                    "runbook '{runbook}' cell completes its trials and its single-thread \
-                     determinism probe records replayable counters"
-                ),
-                assertions: vec![
-                    at_least("timed trial completed operations", "ops", 1.0),
-                    at_least(
-                        "determinism probe ran its fixed budget",
-                        "det/ops",
-                        DET_PROBE_OPS as f64,
-                    )
-                    .tol(0.0),
-                    at_least("probe counters recorded", "det/allocs", 0.0),
-                    at_least("throughput is positive", "mops", 0.0).advisory(),
-                ],
-            }
-        })
-        .collect()
+/// The oracle synthesized for cell `id` of `runbook`: strict completeness
+/// checks (the trial ran, the determinism probe hit its exact budget)
+/// plus an advisory throughput floor.
+pub(crate) fn cell_oracle(id: &str, runbook: &str) -> Oracle {
+    Oracle {
+        experiment: id.to_string(),
+        claim: format!(
+            "runbook '{runbook}' cell completes its trials and its single-thread \
+             determinism probe records replayable counters"
+        ),
+        assertions: vec![
+            at_least("timed trial completed operations", "ops", 1.0),
+            at_least(
+                "determinism probe ran its fixed budget",
+                "det/ops",
+                DET_PROBE_OPS as f64,
+            )
+            .tol(0.0),
+            at_least("probe counters recorded", "det/allocs", 0.0),
+            at_least("throughput is positive", "mops", 0.0).advisory(),
+        ],
+    }
 }
 
 /// Runs one cell: `EPIC_TRIALS` timed trials at the cell's resolved
@@ -676,8 +659,7 @@ pub fn oracles_for(experiments: &[Experiment]) -> Vec<Oracle> {
 pub fn run_cell(cell: &Cell) -> ExperimentResult {
     let mut out = ExperimentResult::new(&cell.id);
     let threads = cell.threads.resolve();
-    let trials = env_usize("EPIC_TRIALS", 1);
-    let summary = run_trials(&cell.workload(threads), trials);
+    let summary = run_trials(&cell.workload(threads), crate::config::env_trials());
     out.metric("threads", threads as f64);
     out.metric("mops", summary.throughput.mean() / 1e6);
     out.metric("rel_ci95/mops", summary.throughput_rel_ci95());
@@ -1097,7 +1079,7 @@ mod tests {
     fn synthesized_oracles_match_experiments_in_order() {
         let rb = Runbook::parse(&smoke_runbook()).unwrap();
         let exps = rb.experiments();
-        let oracles = oracles_for(&exps);
+        let oracles: Vec<Oracle> = exps.iter().map(Experiment::oracle).collect();
         assert_eq!(oracles.len(), exps.len());
         for (o, e) in oracles.iter().zip(&exps) {
             assert_eq!(o.experiment, e.id, "oracle order mirrors registry order");

@@ -265,17 +265,8 @@ impl ShapesDoc {
                 records.push(rec);
             }
         }
-        let order: std::collections::HashMap<String, usize> = crate::experiments::all_experiments()
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (e.id, i))
-            .collect();
-        records.sort_by_key(|r| {
-            order
-                .get(r.report.experiment.as_str())
-                .copied()
-                .unwrap_or(usize::MAX)
-        });
+        let rank = crate::experiments::registry_rank();
+        records.sort_by_key(|r| rank(&r.report.experiment));
         Ok(ShapesDoc {
             records,
             runner: RunnerMeta {

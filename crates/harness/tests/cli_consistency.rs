@@ -5,7 +5,7 @@
 //! pipe), every listed experiment
 //! has exactly one paper-shape oracle (no orphans in either direction),
 //! and the process-runner surface (`--shard`, `-j`, `--one`,
-//! `merge-shapes`, `bench-diff`) round-trips end to end.
+//! `merge-shapes`) round-trips end to end.
 
 use epic_harness::experiments::all_experiments;
 use epic_harness::oracle::{all_oracles, oracle_for, Tier};
@@ -487,45 +487,39 @@ fn check_events_flag_streams_ndjson_progress() {
     }
 }
 
-/// `bench-diff` end to end: identical files pass, a slowdown beyond the
-/// threshold fails with the offending metric on stderr, missing files
-/// are usage errors.
+/// `bench-diff` was a subcommand until ISSUE 17 moved the zero-allocation
+/// gate into `cargo test` (`no_global_heap.rs`): a stale CI script gets the
+/// usage error an unknown experiment gets, not a silent pass.
 #[test]
-fn bench_diff_cli_gates_regressions() {
-    let dir = scratch_dir("benchdiff");
-    let base = dir.join("base.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(
-        &base,
-        r#"{"config": {}, "schemes": [{"scheme": "debra", "get_ns_per_op": 100.0, "mixed_allocs_per_op": 0.0}]}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &slow,
-        r#"{"config": {}, "schemes": [{"scheme": "debra", "get_ns_per_op": 130.0, "mixed_allocs_per_op": 0.0}]}"#,
-    )
-    .unwrap();
-    let out = epic_run(&["bench-diff", base.to_str().unwrap(), base.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(0), "identical files pass: {out:?}");
-    assert!(stdout_of(&out).contains("no regressions"));
-    let out = epic_run(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        slow.to_str().unwrap(),
-        "--max-regress",
-        "15%",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "30% slowdown fails a 15% gate");
-    assert!(stderr_of(&out).contains("debra/get_ns_per_op"));
-    let out = epic_run(&[
-        "bench-diff",
-        base.to_str().unwrap(),
-        slow.to_str().unwrap(),
-        "--max-regress",
-        "50%",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "same delta passes a 50% gate");
-    let out = epic_run(&["bench-diff", "/no/such.json", base.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
+fn epic_run_rejects_the_deleted_bench_diff_subcommand() {
+    let out = epic_run(&["bench-diff", "a.json", "b.json"]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment 'bench-diff'"));
+    assert!(stderr.contains("fig1_scaling"), "lists valid ids: {stderr}");
+}
+
+/// `EPIC_TRIALS=0` used to trip `run_trials`' assert in every cell (twice
+/// under `-j`): it is a malformed value — one warning, one trial.
+#[test]
+fn zero_trials_runs_one_trial_instead_of_panicking() {
+    let dir = scratch_dir("trials0");
+    let runbook = concat!(env!("CARGO_MANIFEST_DIR"), "/../../runbooks/smoke.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_epic-run"))
+        .args(["check", "sc_skew_debra_abtree_je_t2_u"])
+        .env("EPIC_MILLIS", "20")
+        .env("EPIC_TRIALS", "0")
+        .env("EPIC_RUNBOOK", runbook)
+        .env("EPIC_RESULTS", &dir)
+        .output()
+        .expect("spawn epic-run");
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(
+        stderr.matches("ignoring malformed EPIC_TRIALS").count(),
+        1,
+        "warns once: {stderr}"
+    );
+    assert!(stdout_of(&out).contains("1 experiments, 0 strict failures"));
     let _ = std::fs::remove_dir_all(&dir);
 }

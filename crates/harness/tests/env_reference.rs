@@ -1,8 +1,9 @@
-//! Pins the README "Environment reference" table to the source tree:
-//! every `EPIC_*` variable the workspace reads must have a row, and
-//! every row must correspond to a variable that is still read somewhere.
-//! Adding a knob without documenting it (or documenting a knob that no
-//! longer exists) fails this test.
+//! Pins the prose references to the source tree. README "Environment
+//! reference": every `EPIC_*` variable the workspace reads must have a
+//! row, and every row must correspond to a variable that is still read
+//! somewhere — adding a knob without documenting it (or documenting a knob
+//! that no longer exists) fails. DESIGN.md's experiment map: every builtin
+//! id must occur in it.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -111,4 +112,16 @@ fn readme_environment_reference_is_complete_and_current() {
         "README 'Environment reference' rows with no matching read in \
          the source tree: {stale:?}"
     );
+}
+
+/// DESIGN.md §4 / §5 map every paper artifact to its experiment id; an id
+/// the registry gains (or renames) without a row there fails here.
+#[test]
+fn design_md_names_every_builtin_experiment() {
+    use epic_harness::experiments::{all_experiments, Origin};
+    let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).expect("DESIGN.md");
+    for e in all_experiments() {
+        let named = design.contains(&format!("`{}`", e.id));
+        assert!(named || e.origin != Origin::Builtin, "{} is missing", e.id);
+    }
 }

@@ -2,8 +2,9 @@
 //!
 //! Shared low-level utilities for the *epochs-too-epic* workspace: cache-line
 //! padding, exponential backoff, spin locks (ticket and sequence locks), fast
-//! non-cryptographic RNGs, system topology discovery, monotonic timing, and
-//! streaming statistics.
+//! non-cryptographic RNGs, system topology discovery, monotonic timing,
+//! streaming statistics, and the counting global allocator behind the
+//! zero-allocation gate.
 //!
 //! Everything in this crate is `no_std`-style in spirit (no allocation on hot
 //! paths) but uses `std` for threads and time.
@@ -13,6 +14,7 @@
 
 pub mod backoff;
 pub mod cache_padded;
+pub mod counting_alloc;
 pub mod http;
 pub mod json;
 pub mod locks;
@@ -25,6 +27,7 @@ pub mod topology;
 
 pub use backoff::Backoff;
 pub use cache_padded::CachePadded;
+pub use counting_alloc::CountingAlloc;
 pub use json::Json;
 pub use locks::{SeqLock, TicketLock};
 pub use rng::{SplitMix64, XorShift64, Zipfian};
