@@ -434,9 +434,12 @@ mod tests {
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
     use epic_smr::{build_smr, SmrConfig, SmrKind};
 
+    /// Limbo-bag capacity of every test tree.
+    const BAG_CAP: usize = 32;
+
     fn tree(kind: SmrKind, threads: usize) -> DgtTree {
         let alloc = build_allocator(AllocatorKind::Sys, threads, CostModel::zero());
-        let cfg = SmrConfig::new(threads).with_bag_cap(32);
+        let cfg = SmrConfig::new(threads).with_bag_cap(BAG_CAP);
         DgtTree::new(build_smr(kind, alloc, cfg))
     }
 
@@ -519,6 +522,7 @@ mod tests {
                                 let _ = t.get(&h, i * 13 % 97);
                             }
                         }
+                        crate::churn_until_freed(&*t, &h, 4 * BAG_CAP as u64);
                         h.detach();
                     })
                 })

@@ -397,9 +397,12 @@ mod tests {
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
     use epic_smr::{build_smr, SmrConfig, SmrKind};
 
+    /// Limbo-bag capacity of every test list.
+    const BAG_CAP: usize = 32;
+
     fn list(kind: SmrKind, threads: usize) -> HmList {
         let alloc = build_allocator(AllocatorKind::Sys, threads, CostModel::zero());
-        let cfg = SmrConfig::new(threads).with_bag_cap(32);
+        let cfg = SmrConfig::new(threads).with_bag_cap(BAG_CAP);
         HmList::new(build_smr(kind, alloc, cfg))
     }
 
@@ -490,6 +493,7 @@ mod tests {
                                 let _ = l.get(&h, i * 13 % 97 + 1);
                             }
                         }
+                        crate::churn_until_freed(&*l, &h, 4 * BAG_CAP as u64);
                         h.detach();
                     })
                 })

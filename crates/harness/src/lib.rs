@@ -24,7 +24,6 @@
 //! | `EPIC_RUNBOOK` | scenario runbook file generating `sc_*` experiments | unset |
 //! | `EPIC_JOB_TIMEOUT_SECS` | per-child timeout for `epic-run check -j N` | 600 |
 //! | `EPIC_JOB_LOG_KEEP` | run directories kept under `results/jobs/` | 10 |
-//! | `EPIC_QUEUE_COMPACT_LINES` | `epic-serve` queue-journal compaction threshold | 4096 |
 //!
 //! The authoritative reference for *every* `EPIC_*` variable (including
 //! the module-specific ones not listed here) is the README's

@@ -6,8 +6,7 @@
 //! threads, the counting global allocator, and the `EPIC_*` environment.
 //! So the engine schedules registry entries as *child processes* — the
 //! binary re-invokes itself as `epic-run --one <id> --result-json <p>` —
-//! through the [`pool`] module, which owns the mechanics shared with the
-//! `epic-serve` daemon:
+//! through the [`pool`] module, which owns the process mechanics:
 //!
 //! * `jobs` concurrent worker slots, filled longest-processing-time
 //!   first using the registry's [`Experiment::cost`] hints, so the
@@ -20,8 +19,7 @@
 //!   per-run directory `<results>/jobs/run-<ts>-<pid>-<seq>/` (old run
 //!   directories are swept, keeping the last `EPIC_JOB_LOG_KEEP`);
 //! * an optional NDJSON progress stream (`--events <path>`) of
-//!   [`pool::PoolEvent`] records — the same facts the daemon's `/jobs`
-//!   view reports, because both come from the pool;
+//!   [`pool::PoolEvent`] records;
 //! * a deterministic merge: per-job documents combine in registry order
 //!   no matter the completion order.
 //!
@@ -102,9 +100,9 @@ static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Creates a fresh per-run artifact directory
 /// `<results>/jobs/run-<unix-ms>-<pid>-<seq>/` and sweeps old run
 /// directories, keeping the newest [`job_log_keep`] (the new one
-/// included). Both `epic-run check -j N` and the `epic-serve` daemon
-/// allocate their child logs here, so `results/jobs/` stays bounded
-/// across runs instead of accreting logs forever.
+/// included). `epic-run check -j N` allocates its child logs here, so
+/// `results/jobs/` stays bounded across runs instead of accreting logs
+/// forever.
 pub fn new_run_dir() -> std::io::Result<PathBuf> {
     let root = results_dir().join("jobs");
     std::fs::create_dir_all(&root)?;

@@ -1,16 +1,14 @@
-//! The process-pool core shared by `epic-run check -j N` and the
-//! `epic-serve` daemon: LPT slot assignment from cost hints, per-job
-//! timeout, crash classification, bounded retry, and an NDJSON-able
-//! event stream.
+//! The process pool behind `epic-run check -j N`: LPT slot assignment
+//! from cost hints, per-job timeout, crash classification, one retry,
+//! and an NDJSON-able event stream.
 //!
 //! A [`Pool`] owns a pending queue and up to `slots` running child
 //! processes. Each child is an `epic-run --one <id> --result-json <p>`
-//! invocation of [`PoolCfg::program`] (the CLI passes its own binary,
-//! the daemon the `epic-run` it was pointed at), with stdout/stderr
-//! captured to `<dir>/<stem>.log`. The pool is deliberately
-//! synchronous and non-blocking: callers drive it by calling
-//! [`Pool::tick`] in their own loop (the CLI until [`Pool::is_idle`],
-//! the daemon forever), collecting finished attempts and the
+//! invocation of [`PoolCfg::program`] (the CLI passes its own binary;
+//! tests pass a stand-in), with stdout/stderr captured to
+//! `<dir>/<id>.log`. The pool is deliberately synchronous and
+//! non-blocking: [`crate::runner::run_parallel`] calls [`Pool::tick`]
+//! until [`Pool::is_idle`], collecting finished attempts and the
 //! [`PoolEvent`] stream as plain data — the pool never calls back into
 //! its owner.
 
@@ -32,43 +30,33 @@ pub struct PoolCfg {
     /// Per-attempt wall-clock timeout; a child past it is killed and
     /// the attempt classified as crashed.
     pub timeout: Duration,
-    /// Directory for per-attempt artifacts (`<stem>.json`, `<stem>.log`).
+    /// Directory for per-attempt artifacts (`<id>.json`, `<id>.log`).
     pub dir: PathBuf,
     /// The `epic-run` binary to invoke as `--one` children.
     pub program: PathBuf,
 }
 
-/// One unit of work: run experiment `experiment` as a child process, up
-/// to `max_attempts` times on crash.
+/// Attempt budget per job: a crash on the first attempt re-queues it
+/// once.
+const MAX_ATTEMPTS: u32 = 2;
+
+/// One unit of work: run experiment `experiment` as a child process (it
+/// inherits the parent's environment), retried once on crash. Its
+/// artifacts are `<dir>/<experiment>.{json,log}`.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The registry experiment id.
     pub experiment: String,
     /// LPT cost hint ([`crate::experiments::Experiment::cost`]).
     pub cost: u32,
-    /// Artifact file stem (the CLI uses the experiment id; the daemon
-    /// prefixes its queue job id so repeated submissions don't collide).
-    pub stem: String,
-    /// Extra environment for the child (the daemon forwards per-job
-    /// `EPIC_*` overrides; children otherwise inherit the parent env).
-    pub env: Vec<(String, String)>,
-    /// Attempt budget: crashes before this many attempts re-queue.
-    pub max_attempts: u32,
-    /// Caller correlation id (the daemon's queue job id; the CLI uses 0).
-    pub tag: u64,
 }
 
 impl JobSpec {
-    /// The CLI's spec for a registry entry: stem = id, inherited env,
-    /// the historical crash-retry budget of one retry.
+    /// The spec for a registry entry.
     pub fn for_experiment(e: &crate::experiments::Experiment) -> JobSpec {
         JobSpec {
             experiment: e.id.to_string(),
             cost: e.cost,
-            stem: e.id.to_string(),
-            env: Vec::new(),
-            max_attempts: 2,
-            tag: 0,
         }
     }
 }
@@ -102,25 +90,8 @@ pub struct AttemptEnd {
     pub duration: Duration,
     /// Captured child output.
     pub log_path: PathBuf,
-    /// Result JSON path the child was told to write.
-    pub json_path: PathBuf,
     /// The classification.
     pub outcome: AttemptOutcome,
-}
-
-/// A running job that [`Pool::abort_all`] killed before it could
-/// finish (graceful drain / shutdown). Deliberately *not* an
-/// [`AttemptEnd`]: an aborted attempt consumes no retry budget — the
-/// caller decides whether to re-queue (the daemon journals these as
-/// crashed-with-retry-credit so a restart resumes them).
-#[derive(Debug)]
-pub struct AbortedAttempt {
-    /// The spec of the killed job.
-    pub spec: JobSpec,
-    /// The attempt number that was in flight.
-    pub attempt: u32,
-    /// How long it had been running.
-    pub duration: Duration,
 }
 
 /// Kinds of [`PoolEvent`].
@@ -146,22 +117,21 @@ impl EventKind {
 }
 
 /// One progress record. The CLI streams these to `--events <path>` as
-/// NDJSON; the daemon folds them into its queue journal and metrics —
-/// both views report the same facts because both come from here.
+/// NDJSON.
 ///
 /// Serialized schema (`epic-events-v1`, one object per line):
-/// `event` (queued|started|finished), `experiment`, `tag`, `attempt`,
+/// `event` (queued|started|finished), `experiment`, `attempt`,
 /// `ts_ms` (unix epoch milliseconds), and for `finished` only:
 /// `outcome` (completed|crashed), `duration_ms`, `verdict`
 /// (PASS|ADVISORY|FAIL, completed only), `will_retry` (crashed only).
+/// The reader ignores unknown keys, so older lines that still carry a
+/// `tag` key parse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolEvent {
     /// What happened.
     pub kind: EventKind,
     /// The experiment id.
     pub experiment: String,
-    /// Caller correlation id (0 for the CLI).
-    pub tag: u64,
     /// 1-based attempt number.
     pub attempt: u32,
     /// Unix epoch milliseconds when the event was recorded.
@@ -183,7 +153,6 @@ impl PoolEvent {
         PoolEvent {
             kind,
             experiment: spec.experiment.clone(),
-            tag: spec.tag,
             attempt,
             ts_ms: unix_ms(),
             duration_ms: None,
@@ -202,8 +171,8 @@ impl PoolEvent {
         push_str_literal(&mut out, &self.experiment);
         let _ = write!(
             out,
-            ", \"tag\": {}, \"attempt\": {}, \"ts_ms\": {}",
-            self.tag, self.attempt, self.ts_ms
+            ", \"attempt\": {}, \"ts_ms\": {}",
+            self.attempt, self.ts_ms
         );
         if let Some(d) = self.duration_ms {
             let _ = write!(out, ", \"duration_ms\": {}", render_num(d));
@@ -238,7 +207,6 @@ impl PoolEvent {
         Ok(PoolEvent {
             kind,
             experiment: str_field("experiment").ok_or("events: missing experiment")?,
-            tag: num_field("tag").ok_or("events: missing tag")? as u64,
             attempt: num_field("attempt").ok_or("events: missing attempt")? as u32,
             ts_ms: num_field("ts_ms").ok_or("events: missing ts_ms")? as u64,
             duration_ms: num_field("duration_ms"),
@@ -250,7 +218,7 @@ impl PoolEvent {
 }
 
 /// Milliseconds since the unix epoch (0 if the clock is before 1970).
-pub fn unix_ms() -> u64 {
+pub(crate) fn unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -290,11 +258,6 @@ impl Pool {
         }
     }
 
-    /// The configuration the pool runs under.
-    pub fn cfg(&self) -> &PoolCfg {
-        &self.cfg
-    }
-
     /// Queues `spec` (emits a `queued` event). The LPT order is
     /// maintained across submissions.
     pub fn submit(&mut self, spec: JobSpec) {
@@ -308,11 +271,6 @@ impl Pool {
     /// True when nothing is pending or running.
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty() && self.running.is_empty()
-    }
-
-    /// (pending, running, slots).
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.pending.len(), self.running.len(), self.cfg.slots)
     }
 
     /// Drains the buffered event stream.
@@ -383,7 +341,6 @@ impl Pool {
                         attempt: job.attempt,
                         duration,
                         log_path: job.log_path,
-                        json_path: job.json_path,
                         outcome: AttemptOutcome::Completed(Box::new(rec)),
                     });
                 }
@@ -404,7 +361,7 @@ impl Pool {
         duration: Duration,
         reason: String,
     ) -> AttemptEnd {
-        let will_retry = attempt < spec.max_attempts;
+        let will_retry = attempt < MAX_ATTEMPTS;
         let mut ev = PoolEvent::new(EventKind::Finished, &spec, attempt);
         ev.duration_ms = Some(duration.as_secs_f64() * 1e3);
         ev.outcome = Some("crashed".to_string());
@@ -414,65 +371,36 @@ impl Pool {
             // Back of the LPT vec = popped next.
             self.pending.push((spec.clone(), attempt + 1));
         }
-        let (json_path, log_path) = self.artifact_paths(&spec.stem);
+        let (_, log_path) = self.artifact_paths(&spec.experiment);
         AttemptEnd {
             spec,
             attempt,
             duration,
             log_path,
-            json_path,
             outcome: AttemptOutcome::Crashed { reason, will_retry },
         }
     }
 
-    /// Kills every running child and empties the pending queue.
-    /// Aborted attempts consume **no** retry budget — see
-    /// [`AbortedAttempt`]. Pending (never-started) jobs come back too,
-    /// with `attempt` = the attempt they were queued for.
-    pub fn abort_all(&mut self) -> Vec<AbortedAttempt> {
-        let mut aborted = Vec::new();
-        for mut job in self.running.drain(..) {
-            let _ = job.child.kill();
-            let _ = job.child.wait();
-            aborted.push(AbortedAttempt {
-                attempt: job.attempt,
-                duration: job.started.elapsed(),
-                spec: job.spec,
-            });
-        }
-        for (spec, attempt) in self.pending.drain(..) {
-            aborted.push(AbortedAttempt {
-                spec,
-                attempt,
-                duration: Duration::ZERO,
-            });
-        }
-        aborted
-    }
-
-    fn artifact_paths(&self, stem: &str) -> (PathBuf, PathBuf) {
+    fn artifact_paths(&self, id: &str) -> (PathBuf, PathBuf) {
         (
-            self.cfg.dir.join(format!("{stem}.json")),
-            self.cfg.dir.join(format!("{stem}.log")),
+            self.cfg.dir.join(format!("{id}.json")),
+            self.cfg.dir.join(format!("{id}.log")),
         )
     }
 
     fn spawn(&self, spec: &JobSpec, attempt: u32) -> std::io::Result<Running> {
-        let (json_path, log_path) = self.artifact_paths(&spec.stem);
+        let (json_path, log_path) = self.artifact_paths(&spec.experiment);
         let _ = std::fs::remove_file(&json_path); // stale results must not count
         let log = File::create(&log_path)?;
-        let mut cmd = Command::new(&self.cfg.program);
-        cmd.arg("--one")
+        let child = Command::new(&self.cfg.program)
+            .arg("--one")
             .arg(&spec.experiment)
             .arg("--result-json")
             .arg(&json_path)
             .stdin(Stdio::null())
             .stdout(Stdio::from(log.try_clone()?))
-            .stderr(Stdio::from(log));
-        for (k, v) in &spec.env {
-            cmd.env(k, v);
-        }
-        let child = cmd.spawn()?;
+            .stderr(Stdio::from(log))
+            .spawn()?;
         Ok(Running {
             spec: spec.clone(),
             attempt,
@@ -527,10 +455,6 @@ mod tests {
         JobSpec {
             experiment: id.to_string(),
             cost,
-            stem: id.to_string(),
-            env: Vec::new(),
-            max_attempts: 2,
-            tag: 7,
         }
     }
 
@@ -570,9 +494,13 @@ mod tests {
         ev.will_retry = Some(false);
         assert_eq!(
             ev.to_json(),
-            "{\"event\": \"finished\", \"experiment\": \"x\", \"tag\": 7, \"attempt\": 3, \
-             \"ts_ms\": 42, \"duration_ms\": 1.5, \"outcome\": \"crashed\", \"will_retry\": false}"
+            "{\"event\": \"finished\", \"experiment\": \"x\", \"attempt\": 3, \"ts_ms\": 42, \
+             \"duration_ms\": 1.5, \"outcome\": \"crashed\", \"will_retry\": false}"
         );
+        // Lines written before `tag` was dropped still parse.
+        let old = "{\"event\": \"queued\", \"experiment\": \"x\", \"tag\": 0, \"attempt\": 1, \
+                   \"ts_ms\": 42}";
+        assert_eq!(PoolEvent::parse(old).unwrap().experiment, "x");
     }
 
     #[test]
@@ -652,40 +580,6 @@ mod tests {
         }
         // Retries interleave, so compare only the first occurrence order.
         assert_eq!(first_ended, ["heavy", "medium", "light"]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// `abort_all` returns running and pending jobs without consuming
-    /// retry budget, and leaves the pool idle.
-    #[test]
-    fn abort_all_preserves_attempt_credit() {
-        let dir = scratch("abort");
-        // A stand-in child that ignores the --one args and runs long
-        // enough to still be alive when aborted.
-        let script = dir.join("sleeper.sh");
-        std::fs::write(&script, "#!/bin/sh\nsleep 30\n").unwrap();
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::PermissionsExt;
-            std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
-        }
-        let mut cfg = test_cfg(&dir, script.to_str().unwrap());
-        cfg.slots = 1;
-        let mut pool = Pool::new(cfg);
-        pool.submit(spec("running_job", 10));
-        pool.submit(spec("pending_job", 1));
-        let ended = pool.tick();
-        assert!(ended.is_empty(), "sleep child must still be running");
-        let (pending, running, _) = pool.counts();
-        assert_eq!((pending, running), (1, 1));
-        let mut aborted = pool.abort_all();
-        aborted.sort_by(|a, b| a.spec.experiment.cmp(&b.spec.experiment));
-        assert_eq!(aborted.len(), 2);
-        assert_eq!(aborted[0].spec.experiment, "pending_job");
-        assert_eq!(aborted[0].attempt, 1);
-        assert_eq!(aborted[1].spec.experiment, "running_job");
-        assert_eq!(aborted[1].attempt, 1, "aborts burn no attempt");
-        assert!(pool.is_idle());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

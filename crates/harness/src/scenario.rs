@@ -9,10 +9,9 @@
 //! becomes a [`Cell`], and every cell becomes a regular
 //! [`Experiment`] in
 //! [`all_experiments`](crate::experiments::all_experiments) — so
-//! `epic-run check`, `--shard`, `-j N`, oracle verdicts, `SHAPES.json`
-//! merging and `epic-serve` job submission all work on generated
-//! scenarios unchanged. Point `EPIC_RUNBOOK` at the file and the
-//! registry grows.
+//! `epic-run check`, `--shard`, `-j N`, oracle verdicts and `SHAPES.json`
+//! merging all work on generated scenarios unchanged. Point
+//! `EPIC_RUNBOOK` at the file and the registry grows.
 //!
 //! Reproducibility is the design center:
 //!
@@ -701,8 +700,8 @@ fn fnv1a_seeded(basis: u64, s: &str) -> u64 {
 }
 
 /// `EPIC_*` variables excluded from the provenance digest: they steer
-/// where artifacts land or how the queue logs rotate, never what a
-/// trial measures. Everything else under `EPIC_` (scale, caps, seeds)
+/// where artifacts and job logs land and when a child is killed, never
+/// what a trial measures. Everything else under `EPIC_` (scale, caps, seeds)
 /// is included. `EPIC_RUNBOOK` itself is excluded because the digest
 /// hashes the runbook *content* — the path it was read from is
 /// machine-local noise.
@@ -711,7 +710,6 @@ const PROV_ENV_DENYLIST: &[&str] = &[
     "EPIC_RUNBOOK",
     "EPIC_JOB_LOG_KEEP",
     "EPIC_JOB_TIMEOUT_SECS",
-    "EPIC_QUEUE_COMPACT_LINES",
 ];
 
 /// The canonical preimage the provenance hash digests — one field per

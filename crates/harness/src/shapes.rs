@@ -1,5 +1,4 @@
-//! The `SHAPES.json` document model: schema `epic-shapes-v2`, with a
-//! reader that still accepts v1.
+//! The `SHAPES.json` document model: schema `epic-shapes-v2`.
 //!
 //! One document holds the oracle verdicts (and raw structured results)
 //! of a set of experiments. Three producers share it:
@@ -8,20 +7,17 @@
 //! * each child of the process runner ([`crate::runner`]) writes a
 //!   single-experiment document via `epic-run --one <id> --result-json`;
 //! * `epic-run merge-shapes` (and the parallel runner's fan-in) merges
-//!   any number of documents — v1 or v2 — into one.
+//!   any number of documents into one.
 //!
-//! v2 extends v1 with per-experiment `duration_ms` and `attempts`, and a
+//! Each record carries `duration_ms` and `attempts`, and the document a
 //! top-level `runner: {shard, jobs}` provenance block (see DESIGN.md §8
-//! for the field table). The reader defaults the new fields when handed
-//! a v1 file, so old artifacts keep merging.
+//! for the field table).
 
 use crate::oracle::{AssertionOutcome, OracleReport, Tier};
 use crate::report::{json_num, push_json_str, results_dir, ExperimentResult};
 use epic_util::json::Json;
 
-/// The previous schema tag (readable, never written anymore).
-pub const SCHEMA_V1: &str = "epic-shapes-v1";
-/// The current schema tag.
+/// The schema tag, written and required.
 pub const SCHEMA_V2: &str = "epic-shapes-v2";
 
 /// Where a document came from: which shard selection produced it and how
@@ -51,7 +47,7 @@ impl RunnerMeta {
 pub struct ShapeRecord {
     /// The oracle outcomes (id, claim, per-assertion results).
     pub report: OracleReport,
-    /// Wall-clock of the experiment run (0 when unknown — v1 inputs).
+    /// Wall-clock of the experiment run (0 when unknown — a crashed child).
     pub duration_ms: f64,
     /// Process-runner attempts that produced this record (1 = first try).
     pub attempts: u32,
@@ -161,15 +157,14 @@ impl ShapesDoc {
         out
     }
 
-    /// Parses a v1 or v2 document. v1 inputs get `duration_ms = 0`,
-    /// `attempts = 1`, and serial runner metadata.
+    /// Parses a v2 document; any other schema tag is an error.
     pub fn parse(text: &str) -> Result<ShapesDoc, String> {
         let doc = Json::parse(text)?;
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("shapes: missing \"schema\" field")?;
-        if schema != SCHEMA_V1 && schema != SCHEMA_V2 {
+        if schema != SCHEMA_V2 {
             return Err(format!("shapes: unsupported schema '{schema}'"));
         }
         let runner = match doc.get("runner") {
@@ -341,55 +336,27 @@ mod tests {
     }
 
     #[test]
-    fn reader_accepts_v1() {
-        // The exact layout PR 3's writer produced (no duration/attempts,
-        // no runner block).
-        let v1 = r#"{
-  "schema": "epic-shapes-v1",
-  "experiments": [
-    {
-      "id": "fig7_passfirst",
-      "claim": "c",
-      "verdict": "PASS",
-      "strict_failures": 0,
-      "advisory_failures": 0,
-      "assertions": [
-        {"label": "frees actually happen", "tier": "strict", "passed": true, "detail": "ok"}
-      ],
-      "result": {"id": "fig7_passfirst", "metrics": {"freed": 10.0}, "series": {}}
-    }
-  ],
-  "total_strict_failures": 0
-}"#;
-        let doc = ShapesDoc::parse(v1).expect("v1 parses");
-        assert_eq!(doc.runner, RunnerMeta::serial());
-        let rec = &doc.records[0];
-        assert_eq!(rec.duration_ms, 0.0);
-        assert_eq!(rec.attempts, 1);
-        assert_eq!(rec.report.verdict(), "PASS");
-        assert!(rec.result_json.contains("\"freed\": 10.0"));
-    }
-
-    #[test]
     fn reader_rejects_unknown_schema_and_garbage() {
         assert!(ShapesDoc::parse("{}").is_err());
-        assert!(
-            ShapesDoc::parse("{\"schema\": \"epic-shapes-v99\", \"experiments\": []}").is_err()
-        );
+        for old_or_future in ["epic-shapes-v1", "epic-shapes-v99"] {
+            let text = format!("{{\"schema\": \"{old_or_future}\", \"experiments\": []}}");
+            assert!(ShapesDoc::parse(&text).is_err(), "{old_or_future} accepted");
+        }
         assert!(ShapesDoc::parse("not json").is_err());
     }
 
     #[test]
-    fn merge_combines_v1_and_v2_in_registry_order() {
-        let v1 = ShapesDoc::parse(
-            r#"{"schema": "epic-shapes-v1", "experiments": [
+    fn merge_combines_documents_in_registry_order() {
+        let table4 = ShapesDoc::parse(
+            r#"{"schema": "epic-shapes-v2", "runner": {"shard": "1/2", "jobs": 1},
+                "experiments": [
                 {"id": "table4_token_variants", "claim": "", "assertions": [], "result": null}
             ]}"#,
         )
         .unwrap();
-        let v2 = demo_doc("fig4_garbage", false);
+        let fig4 = demo_doc("fig4_garbage", false);
         // Input order is reversed vs the registry (fig4 < table4).
-        let merged = ShapesDoc::merge(vec![v1, v2]).expect("merge");
+        let merged = ShapesDoc::merge(vec![table4, fig4]).expect("merge");
         let ids: Vec<&str> = merged
             .records
             .iter()

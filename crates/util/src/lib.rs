@@ -15,7 +15,6 @@
 pub mod backoff;
 pub mod cache_padded;
 pub mod counting_alloc;
-pub mod http;
 pub mod json;
 pub mod locks;
 pub mod rng;
