@@ -1,9 +1,8 @@
-//! CLI entry point: run paper experiments by id, check them against the
-//! paper-shape oracles — serially or as parallel child processes — and
-//! merge sharded results.
+//! CLI entry point: run paper experiments by id and check them against
+//! the paper-shape oracles — serially or as parallel child processes.
 //!
 //! ```text
-//! epic-run list [--shard K/N]        # id + cost + origin (optionally one shard)
+//! epic-run list                      # id + cost + origin
 //! epic-run list --json               # machine-readable registry (ids, costs,
 //!                                    #   origins, seeds, provenance hashes)
 //! epic-run list --origin runbook     # only runbook-generated scenario cells
@@ -12,9 +11,6 @@
 //! epic-run check                     # run everything + evaluate every oracle
 //! epic-run check table3_allocators fig11b_experiment2
 //! epic-run check all -j 4            # process-isolated, 4 worker slots
-//! epic-run check all --shard 2/3 -j 4
-//! epic-run check all -j 4 --events results/events.ndjson  # NDJSON progress
-//! epic-run merge-shapes a.json b.json c.json   # fan shards back in
 //! epic-run replay <hash> [--against results/SHAPES.json]  # re-run by provenance
 //! EPIC_RUNBOOK=runbooks/smoke.json epic-run check all -j 2  # scenario sweep
 //! EPIC_MILLIS=5000 EPIC_TRIALS=3 epic-run check all -j $(nproc)  # paper-scale
@@ -25,7 +21,8 @@
 //! *strict* assertion failed (advisory misses are reported but never
 //! fatal — see DESIGN.md §6). With `-j N` the experiments run as child
 //! processes (`--one` self-invocations) under the DESIGN.md §8 job
-//! engine; `epic-run <id>` stays serial and in-process, so
+//! engine, each child killed after `max(600 s, 3 s × EPIC_MILLIS ×
+//! EPIC_TRIALS)`; `epic-run <id>` stays serial and in-process, so
 //! single-experiment debugging is unchanged.
 
 use epic_harness::experiments::{
@@ -34,13 +31,13 @@ use epic_harness::experiments::{
 use epic_harness::oracle::{evaluate, render_verdict_table};
 use epic_harness::runner;
 use epic_harness::scenario;
-use epic_harness::shapes::{RunnerMeta, ShapeRecord, ShapesDoc};
-use std::time::{Duration, Instant};
+use epic_harness::shapes::{ShapeRecord, ShapesDoc};
+use std::time::Instant;
 
 fn main() {
     // A broken EPIC_RUNBOOK is a hard startup error for every subcommand:
-    // silently running without the generated cells would make a sharded
-    // `check` pass while skipping the scenarios the caller asked for.
+    // silently running without the generated cells would make `check`
+    // pass while skipping the scenarios the caller asked for.
     if let Err(e) = scenario::load_active_runbook() {
         eprintln!("epic-run: {e}");
         std::process::exit(2);
@@ -56,7 +53,6 @@ fn main() {
             }
         }
         Some("check") => std::process::exit(run_check(&rest)),
-        Some("merge-shapes") => std::process::exit(run_merge(&rest)),
         Some("replay") => std::process::exit(run_replay(&rest)),
         Some("--one") => std::process::exit(run_one(&rest)),
         Some(name) => {
@@ -77,39 +73,18 @@ fn unknown_experiment(name: &str) {
     }
 }
 
-/// Parses `K/N` (1-based shard index).
-fn parse_shard(s: &str) -> Result<(usize, usize), String> {
-    let err = || format!("bad --shard '{s}' (expected K/N with 1 <= K <= N)");
-    let (k, n) = s.split_once('/').ok_or_else(err)?;
-    let (k, n) = (
-        k.trim().parse::<usize>().map_err(|_| err())?,
-        n.trim().parse::<usize>().map_err(|_| err())?,
-    );
-    if k == 0 || n == 0 || k > n {
-        return Err(err());
-    }
-    Ok((k, n))
-}
-
 /// Options shared by `list` and `check` (`--json` is list-only).
 struct CheckOpts {
     ids: Vec<String>,
     jobs: usize,
-    shard: Option<(usize, usize)>,
-    timeout: Duration,
-    events: Option<std::path::PathBuf>,
     json: bool,
     origin: Option<String>,
 }
 
 fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
-    let default_timeout = epic_util::topology::env_u64("EPIC_JOB_TIMEOUT_SECS", 600);
     let mut opts = CheckOpts {
         ids: Vec::new(),
         jobs: 1,
-        shard: None,
-        timeout: Duration::from_secs(default_timeout),
-        events: None,
         json: false,
         origin: None,
     };
@@ -129,15 +104,6 @@ fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
                     .filter(|j| *j >= 1)
                     .ok_or_else(|| format!("bad {arg} '{v}' (expected a count >= 1)"))?;
             }
-            "--shard" => opts.shard = Some(parse_shard(value_of(arg)?)?),
-            "--events" => opts.events = Some(std::path::PathBuf::from(value_of(arg)?)),
-            "--timeout-secs" => {
-                let v = value_of(arg)?;
-                opts.timeout = Duration::from_secs(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("bad --timeout-secs '{v}'"))?,
-                );
-            }
             "--json" => opts.json = true,
             "--origin" => {
                 let v = value_of(arg)?;
@@ -156,7 +122,7 @@ fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
 }
 
 /// Resolves ids (empty / `all` = full registry, repeats collapse to the
-/// first occurrence), applies the shard filter. `Err` carries the exit
+/// first occurrence), applies the origin filter. `Err` carries the exit
 /// code (2, after diagnostics).
 fn select(opts: &CheckOpts) -> Result<Vec<Experiment>, i32> {
     let registry = all_experiments();
@@ -166,8 +132,7 @@ fn select(opts: &CheckOpts) -> Result<Vec<Experiment>, i32> {
         let mut picked: Vec<Experiment> = Vec::new();
         for want in &opts.ids {
             match experiment_by_name(want) {
-                // Dedup: the job engine keys per-child artifacts by id,
-                // and merge rejects duplicate records.
+                // Dedup: the job engine keys per-child artifacts by id.
                 Some(e) if picked.iter().any(|p| p.id == e.id) => {}
                 Some(e) => picked.push(e),
                 None => {
@@ -178,10 +143,6 @@ fn select(opts: &CheckOpts) -> Result<Vec<Experiment>, i32> {
         }
         picked
     };
-    if let Some((k, n)) = opts.shard {
-        let members = runner::shard_members(k, n);
-        selected.retain(|e| members.contains(&e.id));
-    }
     if let Some(origin) = opts.origin.as_deref() {
         selected.retain(|e| match &e.origin {
             Origin::Builtin => origin == "builtin",
@@ -223,13 +184,10 @@ fn write_list(
     if opts.json {
         return writeln!(out, "{}", registry_json(selected));
     }
-    match opts.shard {
-        Some((k, n)) => writeln!(out, "experiments in shard {k}/{n}:")?,
-        None => writeln!(
-            out,
-            "experiments (pass an id, 'all', or 'check [id...|all]'):"
-        )?,
-    }
+    writeln!(
+        out,
+        "experiments (pass an id, 'all', or 'check [id...|all]'):"
+    )?;
     let width = selected.iter().map(|e| e.id.len()).max().unwrap_or(0);
     for e in selected {
         writeln!(
@@ -291,25 +249,20 @@ fn run_check(rest: &[&str]) -> i32 {
         Ok(s) => s,
         Err(code) => return code,
     };
-    // A `check` that runs nothing must not report green: a typo'd
-    // shard/id combination would silently pass the CI oracle gate.
+    // A `check` that runs nothing must not report green: an id/origin
+    // combination that selects nothing would silently pass the CI gate.
     if selected.is_empty() {
         eprintln!(
-            "check: the selection is empty (ids {:?}, shard {:?}) — refusing to pass a run \
-             that exercised nothing; use `epic-run list --shard K/N` to inspect shards",
-            opts.ids, opts.shard
+            "check: the selection is empty (ids {:?}, origin {:?}) — refusing to pass a run \
+             that exercised nothing; use `epic-run list [--origin O]` to inspect it",
+            opts.ids, opts.origin
         );
         return 2;
     }
-    let shard_label = match opts.shard {
-        Some((k, n)) => format!("{k}/{n}"),
-        None => "1/1".to_string(),
-    };
-    let events = opts.events.as_deref();
     let doc = if opts.jobs <= 1 {
-        check_serial(&selected, &shard_label, events)
+        Ok(check_serial(&selected))
     } else {
-        runner::run_parallel(&selected, opts.jobs, opts.timeout, &shard_label, events)
+        runner::run_parallel(&selected, opts.jobs)
     };
     match doc {
         Ok(doc) => finish_check(&doc),
@@ -337,56 +290,18 @@ fn run_checked(e: &Experiment) -> ShapeRecord {
 }
 
 /// The serial in-process path: identical to the pre-engine behavior
-/// (live per-assertion traces), plus per-experiment timing. When
-/// `events_path` is set, the same `epic-events-v1` NDJSON stream the
-/// parallel engine produces is emitted (attempt is always 1 — the
-/// serial path never retries).
-fn check_serial(
-    selected: &[Experiment],
-    shard_label: &str,
-    events_path: Option<&std::path::Path>,
-) -> Result<ShapesDoc, String> {
-    use epic_harness::runner::pool::{EventKind, JobSpec, PoolEvent};
-    use std::io::Write as _;
-    let mut events_sink = match events_path {
-        Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p).map_err(
-            |e| format!("check: could not create events file {}: {e}", p.display()),
-        )?)),
-        None => None,
-    };
-    let mut emit = |ev: PoolEvent| {
-        if let Some(w) = events_sink.as_mut() {
-            let _ = writeln!(w, "{}", ev.to_json());
-            let _ = w.flush();
-        }
-    };
-    let event = |kind, e: &Experiment| PoolEvent::new(kind, &JobSpec::for_experiment(e), 1);
-    for e in selected {
-        emit(event(EventKind::Queued, e));
-    }
+/// (live per-assertion traces), plus per-experiment timing.
+fn check_serial(selected: &[Experiment]) -> ShapesDoc {
     let mut records = Vec::new();
     for e in selected {
         println!("\n##### check {} #####", e.id);
-        emit(event(EventKind::Started, e));
-        let rec = run_checked(e);
-        let mut finished = event(EventKind::Finished, e);
-        finished.duration_ms = Some(rec.duration_ms);
-        finished.outcome = Some("completed".to_string());
-        finished.verdict = Some(rec.report.verdict().to_string());
-        emit(finished);
-        records.push(rec);
+        records.push(run_checked(e));
     }
-    Ok(ShapesDoc {
-        records,
-        runner: RunnerMeta {
-            shard: shard_label.to_string(),
-            jobs: 1,
-        },
-    })
+    ShapesDoc { records, jobs: 1 }
 }
 
-/// Shared tail of `check` and `merge-shapes`: verdict table, SHAPES.json,
-/// summary line, exit code.
+/// Shared tail of serial and parallel `check`: verdict table,
+/// SHAPES.json, summary line, exit code.
 fn finish_check(doc: &ShapesDoc) -> i32 {
     println!("\n{}", render_verdict_table(&doc.reports()));
     let path = doc.write_default();
@@ -418,57 +333,13 @@ fn run_one(rest: &[&str]) -> i32 {
     };
     let doc = ShapesDoc {
         records: vec![run_checked(&e)],
-        runner: RunnerMeta {
-            shard: "job".to_string(),
-            jobs: 1,
-        },
+        jobs: 1,
     };
     if let Err(err) = std::fs::write(json_path, doc.to_json()) {
         eprintln!("--one {id}: could not write {json_path}: {err}");
         return 3;
     }
     i32::from(doc.strict_failures() > 0)
-}
-
-/// `merge-shapes <files...>`: combine shard documents (v1 or v2) into
-/// one verdict table + `results/SHAPES.json` with a single exit code.
-fn run_merge(rest: &[&str]) -> i32 {
-    if rest.is_empty() {
-        eprintln!("usage: epic-run merge-shapes <shapes.json...>");
-        return 2;
-    }
-    let mut docs = Vec::new();
-    for path in rest {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("merge-shapes: cannot read {path}: {e}");
-                return 2;
-            }
-        };
-        match ShapesDoc::parse(&text) {
-            Ok(doc) => {
-                println!(
-                    "merge-shapes: {path}: {} experiments (shard {}, jobs {})",
-                    doc.records.len(),
-                    doc.runner.shard,
-                    doc.runner.jobs
-                );
-                docs.push(doc);
-            }
-            Err(e) => {
-                eprintln!("merge-shapes: {path}: {e}");
-                return 2;
-            }
-        }
-    }
-    match ShapesDoc::merge(docs) {
-        Ok(merged) => finish_check(&merged),
-        Err(e) => {
-            eprintln!("{e}");
-            2
-        }
-    }
 }
 
 /// `replay <hash> [--against <SHAPES.json>]`: find the registry entry

@@ -1352,9 +1352,8 @@ pub struct Experiment {
     pub run: ExperimentRun,
     /// Relative cost hint: roughly how many timed trial slices the
     /// experiment runs at default scale (sweep length ≈ 5). The process
-    /// runner ([`crate::runner`]) uses it for LPT slot assignment, and
-    /// the shard partitioner balances shards by it. Only the *ordering*
-    /// matters; the units are deliberately coarse.
+    /// runner ([`crate::runner`]) uses it for LPT slot assignment. Only
+    /// the *ordering* matters; the units are deliberately coarse.
     pub cost: u32,
     /// Builtin or runbook-generated.
     pub origin: Origin,
@@ -1449,7 +1448,7 @@ pub fn all_experiments() -> Vec<Experiment> {
 }
 
 /// An id's position in the registry (unknown ids rank last): the sort key
-/// that puts shards and merged records back into registry order.
+/// that puts the process runner's records back into registry order.
 pub(crate) fn registry_rank() -> impl Fn(&str) -> usize {
     let order: std::collections::HashMap<String, usize> = all_experiments()
         .into_iter()

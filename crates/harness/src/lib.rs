@@ -22,8 +22,6 @@
 //! | `EPIC_BAG_CAP` | limbo-bag capacity (paper: 32768) | 4096 |
 //! | `EPIC_RESULTS` | artifact output directory | `results/` |
 //! | `EPIC_RUNBOOK` | scenario runbook file generating `sc_*` experiments | unset |
-//! | `EPIC_JOB_TIMEOUT_SECS` | per-child timeout for `epic-run check -j N` | 600 |
-//! | `EPIC_JOB_LOG_KEEP` | run directories kept under `results/jobs/` | 10 |
 //!
 //! The authoritative reference for *every* `EPIC_*` variable (including
 //! the module-specific ones not listed here) is the README's
@@ -45,5 +43,5 @@ pub mod workload;
 pub use config::{Arrival, ExperimentScale, KeyDist, WorkloadCfg};
 pub use report::{results_dir, ExperimentResult, Table};
 pub use scenario::{Cell, Runbook, ThreadSpec};
-pub use shapes::{RunnerMeta, ShapeRecord, ShapesDoc};
+pub use shapes::{ShapeRecord, ShapesDoc};
 pub use workload::{run_trial, run_trials, TrialResult, TrialSummary};

@@ -254,9 +254,11 @@ pub fn fraction_below(label: &str, series: &str, threshold: f64, max_fraction: f
 }
 
 /// Trial durations at or below this many milliseconds count as smoke
-/// runs: AF-ratio magnitudes measured over a handful of milliseconds are
-/// dominated by startup/drain phase noise, not by the steady-state
-/// behavior the paper claims are about.
+/// runs: throughput ratios, peak-memory orderings, flush-count trends,
+/// sampled garbage peaks and token laps measured over a handful of
+/// milliseconds are dominated by startup/drain phase noise and by which
+/// thread the scheduler parks, not by the steady-state behavior the
+/// paper claims are about.
 pub const SMOKE_MILLIS: u64 = 20;
 
 /// Scale-aware tiering: demotes `a` to advisory when the per-trial
@@ -573,14 +575,16 @@ pub(crate) fn builtin_oracles() -> Vec<Oracle> {
             "rows/fig1_scaling",
             4.0 * sweep,
         ))
-        .check(
+        .check(demote_at_millis(
             ordering(
                 "leaking explodes ABtree memory",
                 "peak_mib/abtree/none/max_t",
                 "peak_mib/abtree/debra/max_t",
             )
             .tol(0.10),
-        )
+            SMOKE_MILLIS,
+            millis,
+        ))
         .check(
             ordering(
                 "OCCtree outscales ABtree under debra at max threads",
@@ -756,7 +760,11 @@ pub(crate) fn builtin_oracles() -> Vec<Oracle> {
             "rows/fig5_6_naive_token_perf",
             sweep,
         ))
-        .check(at_least("garbage piles past one limbo bag", "peak_garbage", 4096.0).tol(0.25))
+        .check(demote_at_millis(
+            at_least("garbage piles past one limbo bag", "peak_garbage", 4096.0).tol(0.25),
+            SMOKE_MILLIS,
+            millis,
+        ))
         .check(
             ratio_at_least("retires outpace frees (pile-up)", "retired", "freed", 1.2).advisory(),
         ),
@@ -794,7 +802,11 @@ pub(crate) fn builtin_oracles() -> Vec<Oracle> {
             "rows/fig9_10_token_af_perf",
             sweep,
         ))
-        .check(at_least("token circulates", "epochs", 1.0))
+        .check(demote_at_millis(
+            at_least("token circulates", "epochs", 1.0),
+            SMOKE_MILLIS,
+            millis,
+        ))
         .check(
             ratio_at_least("reclamation keeps up (no pile-up)", "freed", "retired", 0.5).advisory(),
         ),
@@ -857,7 +869,11 @@ pub(crate) fn builtin_oracles() -> Vec<Oracle> {
             "rows/fig11a_experiment1",
             13.0 * sweep,
         ))
-        .check(ordering("token_af beats hp", "mops/token_af/max_t", "mops/hp/max_t").tol(0.15))
+        .check(demote_at_millis(
+            ordering("token_af beats hp", "mops/token_af/max_t", "mops/hp/max_t").tol(0.15),
+            SMOKE_MILLIS,
+            millis,
+        ))
         .check(
             ratio_at_least(
                 "token_af ≥ 1.3x nbr+ (paper: 1.7x)",
@@ -1058,7 +1074,11 @@ pub(crate) fn builtin_oracles() -> Vec<Oracle> {
             "rows/ablation_tcache_cap",
             3.0,
         ))
-        .check(monotone_falling("flushes fall as cap grows", "flushes_by_cap").tol(0.15))
+        .check(demote_at_millis(
+            monotone_falling("flushes fall as cap grows", "flushes_by_cap").tol(0.15),
+            SMOKE_MILLIS,
+            millis,
+        ))
         .check(
             ordering("small cap flushes most", "flushes/cap50", "flushes/cap800")
                 .advisory()

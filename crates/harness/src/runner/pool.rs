@@ -1,6 +1,5 @@
 //! The process pool behind `epic-run check -j N`: LPT slot assignment
-//! from cost hints, per-job timeout, crash classification, one retry,
-//! and an NDJSON-able event stream.
+//! from cost hints, per-job timeout, crash classification and one retry.
 //!
 //! A [`Pool`] owns a pending queue and up to `slots` running child
 //! processes. Each child is an `epic-run --one <id> --result-json <p>`
@@ -8,17 +7,15 @@
 //! tests pass a stand-in), with stdout/stderr captured to
 //! `<dir>/<id>.log`. The pool is deliberately synchronous and
 //! non-blocking: [`crate::runner::run_parallel`] calls [`Pool::tick`]
-//! until [`Pool::is_idle`], collecting finished attempts and the
-//! [`PoolEvent`] stream as plain data — the pool never calls back into
-//! its owner.
+//! until [`Pool::is_idle`], collecting finished attempts as plain data —
+//! the pool never calls back into its owner. The one side effect besides
+//! the children is a `[start] <id> (attempt n)` line on stdout per spawn.
 
 use crate::shapes::ShapesDoc;
-use epic_util::json::{push_str_literal, render_num, Json};
-use std::fmt::Write as _;
 use std::fs::File;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 pub use crate::shapes::ShapeRecord;
 
@@ -94,137 +91,6 @@ pub struct AttemptEnd {
     pub outcome: AttemptOutcome,
 }
 
-/// Kinds of [`PoolEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// The job entered the pending queue.
-    Queued,
-    /// An attempt's child process started.
-    Started,
-    /// An attempt finished (completed or crashed).
-    Finished,
-}
-
-impl EventKind {
-    /// The NDJSON tag.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Queued => "queued",
-            EventKind::Started => "started",
-            EventKind::Finished => "finished",
-        }
-    }
-}
-
-/// One progress record. The CLI streams these to `--events <path>` as
-/// NDJSON.
-///
-/// Serialized schema (`epic-events-v1`, one object per line):
-/// `event` (queued|started|finished), `experiment`, `attempt`,
-/// `ts_ms` (unix epoch milliseconds), and for `finished` only:
-/// `outcome` (completed|crashed), `duration_ms`, `verdict`
-/// (PASS|ADVISORY|FAIL, completed only), `will_retry` (crashed only).
-/// The reader ignores unknown keys, so older lines that still carry a
-/// `tag` key parse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolEvent {
-    /// What happened.
-    pub kind: EventKind,
-    /// The experiment id.
-    pub experiment: String,
-    /// 1-based attempt number.
-    pub attempt: u32,
-    /// Unix epoch milliseconds when the event was recorded.
-    pub ts_ms: u64,
-    /// `finished` only: wall-clock of the attempt.
-    pub duration_ms: Option<f64>,
-    /// `finished` only: `completed` or `crashed`.
-    pub outcome: Option<String>,
-    /// `finished` + completed only: the oracle verdict.
-    pub verdict: Option<String>,
-    /// `finished` + crashed only: whether the pool re-queued the job.
-    pub will_retry: Option<bool>,
-}
-
-impl PoolEvent {
-    /// A `kind` event for `spec`'s `attempt`, stamped now; the
-    /// `finished`-only fields start empty.
-    pub fn new(kind: EventKind, spec: &JobSpec, attempt: u32) -> PoolEvent {
-        PoolEvent {
-            kind,
-            experiment: spec.experiment.clone(),
-            attempt,
-            ts_ms: unix_ms(),
-            duration_ms: None,
-            outcome: None,
-            verdict: None,
-            will_retry: None,
-        }
-    }
-
-    /// One NDJSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"event\": ");
-        push_str_literal(&mut out, self.kind.name());
-        out.push_str(", \"experiment\": ");
-        push_str_literal(&mut out, &self.experiment);
-        let _ = write!(
-            out,
-            ", \"attempt\": {}, \"ts_ms\": {}",
-            self.attempt, self.ts_ms
-        );
-        if let Some(d) = self.duration_ms {
-            let _ = write!(out, ", \"duration_ms\": {}", render_num(d));
-        }
-        if let Some(o) = &self.outcome {
-            out.push_str(", \"outcome\": ");
-            push_str_literal(&mut out, o);
-        }
-        if let Some(v) = &self.verdict {
-            out.push_str(", \"verdict\": ");
-            push_str_literal(&mut out, v);
-        }
-        if let Some(w) = self.will_retry {
-            let _ = write!(out, ", \"will_retry\": {w}");
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parses one NDJSON line (the round-trip partner of
-    /// [`PoolEvent::to_json`]).
-    pub fn parse(line: &str) -> Result<PoolEvent, String> {
-        let v = Json::parse(line)?;
-        let str_field = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
-        let num_field = |key: &str| v.get(key).and_then(Json::as_f64);
-        let kind = match str_field("event").as_deref() {
-            Some("queued") => EventKind::Queued,
-            Some("started") => EventKind::Started,
-            Some("finished") => EventKind::Finished,
-            other => return Err(format!("events: unknown event kind {other:?}")),
-        };
-        Ok(PoolEvent {
-            kind,
-            experiment: str_field("experiment").ok_or("events: missing experiment")?,
-            attempt: num_field("attempt").ok_or("events: missing attempt")? as u32,
-            ts_ms: num_field("ts_ms").ok_or("events: missing ts_ms")? as u64,
-            duration_ms: num_field("duration_ms"),
-            outcome: str_field("outcome"),
-            verdict: str_field("verdict"),
-            will_retry: v.get("will_retry").and_then(Json::as_bool),
-        })
-    }
-}
-
-/// Milliseconds since the unix epoch (0 if the clock is before 1970).
-pub(crate) fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
 struct Running {
     spec: JobSpec,
     attempt: u32,
@@ -243,7 +109,6 @@ pub struct Pool {
     /// already warm and its result is blocking the merge.
     pending: Vec<(JobSpec, u32)>,
     running: Vec<Running>,
-    events: Vec<PoolEvent>,
 }
 
 impl Pool {
@@ -254,15 +119,11 @@ impl Pool {
             cfg,
             pending: Vec::new(),
             running: Vec::new(),
-            events: Vec::new(),
         }
     }
 
-    /// Queues `spec` (emits a `queued` event). The LPT order is
-    /// maintained across submissions.
+    /// Queues `spec`. The LPT order is maintained across submissions.
     pub fn submit(&mut self, spec: JobSpec) {
-        self.events
-            .push(PoolEvent::new(EventKind::Queued, &spec, 1));
         self.pending.push((spec, 1));
         self.pending
             .sort_by(|(a, _), (b, _)| a.cost.cmp(&b.cost).then(a.experiment.cmp(&b.experiment)));
@@ -271,11 +132,6 @@ impl Pool {
     /// True when nothing is pending or running.
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty() && self.running.is_empty()
-    }
-
-    /// Drains the buffered event stream.
-    pub fn take_events(&mut self) -> Vec<PoolEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// One scheduling step: fill free slots from the pending queue,
@@ -290,8 +146,7 @@ impl Pool {
             };
             match self.spawn(&spec, attempt) {
                 Ok(job) => {
-                    self.events
-                        .push(PoolEvent::new(EventKind::Started, &spec, attempt));
+                    println!("[start] {} (attempt {attempt})", spec.experiment);
                     self.running.push(job);
                 }
                 Err(e) => {
@@ -331,11 +186,6 @@ impl Pool {
             let duration = job.started.elapsed();
             match classify(&job, killed, exit) {
                 Classified::Completed(rec) => {
-                    let mut ev = PoolEvent::new(EventKind::Finished, &job.spec, job.attempt);
-                    ev.duration_ms = Some(duration.as_secs_f64() * 1e3);
-                    ev.outcome = Some("completed".to_string());
-                    ev.verdict = Some(rec.report.verdict().to_string());
-                    self.events.push(ev);
                     ended.push(AttemptEnd {
                         spec: job.spec,
                         attempt: job.attempt,
@@ -352,8 +202,8 @@ impl Pool {
         ended
     }
 
-    /// Records a crashed attempt: emits the `finished` event, re-queues
-    /// when budget remains, and builds the [`AttemptEnd`].
+    /// Records a crashed attempt: re-queues it when budget remains and
+    /// builds the [`AttemptEnd`].
     fn finish_crash(
         &mut self,
         spec: JobSpec,
@@ -362,11 +212,6 @@ impl Pool {
         reason: String,
     ) -> AttemptEnd {
         let will_retry = attempt < MAX_ATTEMPTS;
-        let mut ev = PoolEvent::new(EventKind::Finished, &spec, attempt);
-        ev.duration_ms = Some(duration.as_secs_f64() * 1e3);
-        ev.outcome = Some("crashed".to_string());
-        ev.will_retry = Some(will_retry);
-        self.events.push(ev);
         if will_retry {
             // Back of the LPT vec = popped next.
             self.pending.push((spec.clone(), attempt + 1));
@@ -458,61 +303,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn events_round_trip_through_json() {
-        // One of each kind, optional fields exercised both ways — this
-        // pins the `epic-events-v1` record schema.
-        let mut queued = PoolEvent::new(EventKind::Queued, &spec("fig4_garbage", 5), 1);
-        queued.ts_ms = 1_700_000_000_123;
-        let mut started = PoolEvent::new(EventKind::Started, &spec("fig4_garbage", 5), 2);
-        started.ts_ms = 1_700_000_000_456;
-        let mut done = PoolEvent::new(EventKind::Finished, &spec("fig4_garbage", 5), 2);
-        done.ts_ms = 1_700_000_001_000;
-        done.duration_ms = Some(543.25);
-        done.outcome = Some("completed".to_string());
-        done.verdict = Some("PASS".to_string());
-        let mut crashed = PoolEvent::new(EventKind::Finished, &spec("fig4_garbage", 5), 1);
-        crashed.ts_ms = 1_700_000_002_000;
-        crashed.duration_ms = Some(10.0);
-        crashed.outcome = Some("crashed".to_string());
-        crashed.will_retry = Some(true);
-        for ev in [queued, started, done, crashed] {
-            let line = ev.to_json();
-            assert!(!line.contains('\n'), "NDJSON lines must be single-line");
-            let back = PoolEvent::parse(&line)
-                .unwrap_or_else(|e| panic!("round trip failed: {e}\n{line}"));
-            assert_eq!(back, ev, "line: {line}");
-        }
-    }
-
-    #[test]
-    fn event_schema_field_names_are_pinned() {
-        let mut ev = PoolEvent::new(EventKind::Finished, &spec("x", 1), 3);
-        ev.ts_ms = 42;
-        ev.duration_ms = Some(1.5);
-        ev.outcome = Some("crashed".to_string());
-        ev.will_retry = Some(false);
-        assert_eq!(
-            ev.to_json(),
-            "{\"event\": \"finished\", \"experiment\": \"x\", \"attempt\": 3, \"ts_ms\": 42, \
-             \"duration_ms\": 1.5, \"outcome\": \"crashed\", \"will_retry\": false}"
-        );
-        // Lines written before `tag` was dropped still parse.
-        let old = "{\"event\": \"queued\", \"experiment\": \"x\", \"tag\": 0, \"attempt\": 1, \
-                   \"ts_ms\": 42}";
-        assert_eq!(PoolEvent::parse(old).unwrap().experiment, "x");
-    }
-
-    #[test]
-    fn event_parse_rejects_garbage() {
-        assert!(PoolEvent::parse("not json").is_err());
-        assert!(PoolEvent::parse("{\"event\": \"warped\"}").is_err());
-        assert!(
-            PoolEvent::parse("{\"event\": \"queued\"}").is_err(),
-            "missing fields"
-        );
-    }
-
     fn test_cfg(dir: &std::path::Path, program: &str) -> PoolCfg {
         PoolCfg {
             slots: 2,
@@ -530,7 +320,7 @@ mod tests {
     }
 
     /// A spawn failure (nonexistent program) burns one attempt, retries
-    /// once, then reports a final crash — all through events.
+    /// once, then reports a final crash.
     #[test]
     fn spawn_failure_consumes_retry_budget() {
         let dir = scratch("spawnfail");
@@ -553,8 +343,6 @@ mod tests {
         }
         assert_eq!(crashes, 2, "one attempt + one retry");
         assert!(pool.is_idle());
-        let kinds: Vec<&str> = pool.take_events().iter().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, ["queued", "finished", "finished"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

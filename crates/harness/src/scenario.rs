@@ -9,9 +9,9 @@
 //! becomes a [`Cell`], and every cell becomes a regular
 //! [`Experiment`] in
 //! [`all_experiments`](crate::experiments::all_experiments) — so
-//! `epic-run check`, `--shard`, `-j N`, oracle verdicts and `SHAPES.json`
-//! merging all work on generated scenarios unchanged. Point
-//! `EPIC_RUNBOOK` at the file and the registry grows.
+//! `epic-run check [-j N]`, oracle verdicts and `SHAPES.json` all work
+//! on generated scenarios unchanged. Point `EPIC_RUNBOOK` at the file
+//! and the registry grows.
 //!
 //! Reproducibility is the design center:
 //!
@@ -33,7 +33,6 @@ use crate::config::{Arrival, KeyDist, WorkloadCfg};
 use crate::experiments::{Experiment, ExperimentRun, Origin};
 use crate::oracle::{at_least, Oracle};
 use crate::report::ExperimentResult;
-use crate::runner::fnv1a;
 use crate::workload::{run_trial, run_trials};
 
 use epic_alloc::AllocatorKind;
@@ -59,8 +58,8 @@ pub const RUNBOOK_SCHEMA: &str = "epic-runbook-v1";
 pub const DET_PROBE_OPS: u64 = 4096;
 
 /// Registry cost hint for one cell: one timed trial slice plus the
-/// (cheap) determinism probe. Deliberately machine-independent so shard
-/// assignment of generated cells is stable across hosts.
+/// (cheap) determinism probe. Deliberately machine-independent so the
+/// job engine schedules generated cells in the same order on every host.
 const CELL_COST: u32 = 2;
 
 /// Hard cap on cells per runbook — a typo'd cross-product should fail
@@ -221,7 +220,7 @@ impl Runbook {
         if scenarios.is_empty() {
             return Err("runbook: \"scenarios\" is empty".into());
         }
-        let source_fnv = fnv1a(source);
+        let source_fnv = fnv1a(FNV_BASIS, source);
         let mut cells = Vec::new();
         let mut ids = HashSet::new();
         for (i, sc) in scenarios.iter().enumerate() {
@@ -418,7 +417,8 @@ fn parse_scenario(
                                         *churn,
                                     );
                                     let seed =
-                                        SplitMix64::new(runbook_seed ^ fnv1a(&id)).next_u64();
+                                        SplitMix64::new(runbook_seed ^ fnv1a(FNV_BASIS, &id))
+                                            .next_u64();
                                     cells.push(Cell {
                                         id,
                                         runbook: runbook.to_string(),
@@ -688,9 +688,14 @@ pub fn run_cell(cell: &Cell) -> ExperimentResult {
 // Provenance
 // ---------------------------------------------------------------------------
 
-/// FNV-1a with a caller-chosen offset basis (the second pass of the
-/// 128-bit provenance digest uses a decorrelated basis).
-fn fnv1a_seeded(basis: u64, s: &str) -> u64 {
+/// The standard FNV-1a 64-bit offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over the bytes of `s`, starting from `basis` ([`FNV_BASIS`]
+/// everywhere but the second pass of the 128-bit provenance digest). Not
+/// a quality hash — a *frozen* one: cell seeds and provenance hashes must
+/// never depend on compiler, platform, or std internals.
+fn fnv1a(basis: u64, s: &str) -> u64 {
     let mut h = basis;
     for b in s.as_bytes() {
         h ^= u64::from(*b);
@@ -699,18 +704,12 @@ fn fnv1a_seeded(basis: u64, s: &str) -> u64 {
     h
 }
 
-/// `EPIC_*` variables excluded from the provenance digest: they steer
-/// where artifacts and job logs land and when a child is killed, never
-/// what a trial measures. Everything else under `EPIC_` (scale, caps, seeds)
-/// is included. `EPIC_RUNBOOK` itself is excluded because the digest
-/// hashes the runbook *content* — the path it was read from is
-/// machine-local noise.
-const PROV_ENV_DENYLIST: &[&str] = &[
-    "EPIC_RESULTS",
-    "EPIC_RUNBOOK",
-    "EPIC_JOB_LOG_KEEP",
-    "EPIC_JOB_TIMEOUT_SECS",
-];
+/// `EPIC_*` variables excluded from the provenance digest: `EPIC_RESULTS`
+/// steers where artifacts land, never what a trial measures. Everything
+/// else under `EPIC_` (scale, caps, seeds) is included. `EPIC_RUNBOOK`
+/// itself is excluded because the digest hashes the runbook *content* —
+/// the path it was read from is machine-local noise.
+const PROV_ENV_DENYLIST: &[&str] = &["EPIC_RESULTS", "EPIC_RUNBOOK"];
 
 /// The canonical preimage the provenance hash digests — one field per
 /// line, `EPIC_*` overrides sorted by key (see DESIGN.md §12 for the
@@ -757,8 +756,8 @@ pub fn provenance_hash(e: &Experiment) -> String {
     let pre = provenance_preimage(e);
     format!(
         "{:016x}{:016x}",
-        fnv1a_seeded(0xcbf2_9ce4_8422_2325, &pre),
-        fnv1a_seeded(0xcbf2_9ce4_8422_2325 ^ 0x9E37_79B9_7F4A_7C15, &pre),
+        fnv1a(FNV_BASIS, &pre),
+        fnv1a(FNV_BASIS ^ 0x9E37_79B9_7F4A_7C15, &pre),
     )
 }
 
@@ -860,7 +859,22 @@ mod tests {
         assert_eq!(seeds.len(), a.cells.len(), "per-cell seeds decorrelate");
         // And the derivation matches the documented formula.
         let c = &a.cells[0];
-        assert_eq!(c.seed, SplitMix64::new(7 ^ fnv1a(&c.id)).next_u64());
+        assert_eq!(
+            c.seed,
+            SplitMix64::new(7 ^ fnv1a(FNV_BASIS, &c.id)).next_u64()
+        );
+    }
+
+    #[test]
+    fn fnv_is_frozen() {
+        // Reference values computed from the FNV-1a definition; if these
+        // move, every cell seed and provenance hash moves with them.
+        assert_eq!(fnv1a(FNV_BASIS, ""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_BASIS, "a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(
+            fnv1a(FNV_BASIS, "fig4_garbage"),
+            fnv1a(FNV_BASIS, "fig4_garbagf")
+        );
     }
 
     #[test]

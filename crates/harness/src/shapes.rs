@@ -1,17 +1,17 @@
 //! The `SHAPES.json` document model: schema `epic-shapes-v2`.
 //!
 //! One document holds the oracle verdicts (and raw structured results)
-//! of a set of experiments. Three producers share it:
+//! of a set of experiments. Two producers share it:
 //!
-//! * serial `epic-run check` writes one document for everything it ran;
-//! * each child of the process runner ([`crate::runner`]) writes a
-//!   single-experiment document via `epic-run --one <id> --result-json`;
-//! * `epic-run merge-shapes` (and the parallel runner's fan-in) merges
-//!   any number of documents into one.
+//! * `epic-run check` writes one document for everything it ran — in
+//!   process, or (`-j N`) combined from its children's documents by the
+//!   process runner ([`crate::runner`]);
+//! * each such child writes a single-experiment document via
+//!   `epic-run --one <id> --result-json`.
 //!
 //! Each record carries `duration_ms` and `attempts`, and the document a
-//! top-level `runner: {shard, jobs}` provenance block (see DESIGN.md §8
-//! for the field table).
+//! top-level `runner: {jobs}` block (see DESIGN.md §8 for the field
+//! table).
 
 use crate::oracle::{AssertionOutcome, OracleReport, Tier};
 use crate::report::{json_num, push_json_str, results_dir, ExperimentResult};
@@ -19,28 +19,6 @@ use epic_util::json::Json;
 
 /// The schema tag, written and required.
 pub const SCHEMA_V2: &str = "epic-shapes-v2";
-
-/// Where a document came from: which shard selection produced it and how
-/// many worker slots ran it. `shard` is a provenance string — `"1/1"`
-/// for an unsharded run, `"2/3"` for a shard, `"merge(3 inputs)"` after
-/// a merge, `"job"` for a single child process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunnerMeta {
-    /// Shard selector or provenance label.
-    pub shard: String,
-    /// Worker-slot count (`-j`) of the producing run.
-    pub jobs: usize,
-}
-
-impl RunnerMeta {
-    /// Meta for an in-process serial run over the full selection.
-    pub fn serial() -> Self {
-        RunnerMeta {
-            shard: "1/1".to_string(),
-            jobs: 1,
-        }
-    }
-}
 
 /// One experiment's entry in a shapes document.
 #[derive(Debug, Clone)]
@@ -73,13 +51,14 @@ impl ShapeRecord {
     }
 }
 
-/// A full shapes document: records plus runner provenance.
+/// A full shapes document: records plus the producing run's `-j` count.
 #[derive(Debug, Clone)]
 pub struct ShapesDoc {
     /// Per-experiment records.
     pub records: Vec<ShapeRecord>,
-    /// Provenance of the producing run.
-    pub runner: RunnerMeta,
+    /// Worker-slot count (`-j`) of the producing run; 1 for serial
+    /// `check` and for a `--one` child.
+    pub jobs: usize,
 }
 
 impl ShapesDoc {
@@ -109,11 +88,9 @@ impl ShapesDoc {
         let mut out = String::new();
         out.push_str("{\n  \"schema\": ");
         push_json_str(&mut out, SCHEMA_V2);
-        out.push_str(",\n  \"runner\": {\"shard\": ");
-        push_json_str(&mut out, &self.runner.shard);
         out.push_str(&format!(
-            ", \"jobs\": {}}},\n  \"experiments\": [\n",
-            self.runner.jobs
+            ",\n  \"runner\": {{\"jobs\": {}}},\n  \"experiments\": [\n",
+            self.jobs
         ));
         for (i, rec) in self.records.iter().enumerate() {
             if i > 0 {
@@ -167,17 +144,11 @@ impl ShapesDoc {
         if schema != SCHEMA_V2 {
             return Err(format!("shapes: unsupported schema '{schema}'"));
         }
-        let runner = match doc.get("runner") {
-            Some(r) => RunnerMeta {
-                shard: r
-                    .get("shard")
-                    .and_then(Json::as_str)
-                    .unwrap_or("1/1")
-                    .to_string(),
-                jobs: r.get("jobs").and_then(Json::as_f64).unwrap_or(1.0) as usize,
-            },
-            None => RunnerMeta::serial(),
-        };
+        let jobs = doc
+            .get("runner")
+            .and_then(|r| r.get("jobs"))
+            .and_then(Json::as_f64)
+            .unwrap_or(1.0) as usize;
         let experiments = doc
             .get("experiments")
             .and_then(Json::as_arr)
@@ -234,41 +205,7 @@ impl ShapesDoc {
                 result_json: e.get("result").map_or("null".to_string(), Json::render),
             });
         }
-        Ok(ShapesDoc { records, runner })
-    }
-
-    /// Merges documents into one. Records are re-ordered to experiment
-    /// registry order (unknown ids go last, in encounter order); the same
-    /// experiment appearing in two inputs is an error — shards must be
-    /// disjoint, and re-merging an already-merged file with one of its
-    /// inputs is always a mistake.
-    pub fn merge(docs: Vec<ShapesDoc>) -> Result<ShapesDoc, String> {
-        let inputs = docs.len();
-        let jobs = docs.iter().map(|d| d.runner.jobs).max().unwrap_or(1);
-        let mut records: Vec<ShapeRecord> = Vec::new();
-        for doc in docs {
-            for rec in doc.records {
-                if let Some(dup) = records
-                    .iter()
-                    .find(|r| r.report.experiment == rec.report.experiment)
-                {
-                    return Err(format!(
-                        "merge-shapes: experiment '{}' appears in more than one input",
-                        dup.report.experiment
-                    ));
-                }
-                records.push(rec);
-            }
-        }
-        let rank = crate::experiments::registry_rank();
-        records.sort_by_key(|r| rank(&r.report.experiment));
-        Ok(ShapesDoc {
-            records,
-            runner: RunnerMeta {
-                shard: format!("merge({inputs} inputs)"),
-                jobs,
-            },
-        })
+        Ok(ShapesDoc { records, jobs })
     }
 
     /// Writes the document to `<results>/SHAPES.json`; returns the path
@@ -304,10 +241,7 @@ mod tests {
         report.experiment = id.to_string();
         ShapesDoc {
             records: vec![ShapeRecord::from_run(report, &result, 123.5, 2)],
-            runner: RunnerMeta {
-                shard: "2/3".to_string(),
-                jobs: 4,
-            },
+            jobs: 4,
         }
     }
 
@@ -318,9 +252,12 @@ mod tests {
         assert!(text.contains("\"schema\": \"epic-shapes-v2\""));
         assert!(text.contains("\"duration_ms\": 123.5"));
         assert!(text.contains("\"attempts\": 2"));
-        assert!(text.contains("\"runner\": {\"shard\": \"2/3\", \"jobs\": 4}"));
+        assert!(text.contains("\"runner\": {\"jobs\": 4}"));
         let back = ShapesDoc::parse(&text).expect("parse own output");
-        assert_eq!(back.runner, doc.runner);
+        assert_eq!(back.jobs, doc.jobs);
+        // Documents that still carry the dropped `runner.shard` key parse.
+        let old = text.replace("{\"jobs\": 4}", "{\"shard\": \"2/3\", \"jobs\": 4}");
+        assert_eq!(ShapesDoc::parse(&old).expect("old runner block").jobs, 4);
         assert_eq!(back.records.len(), 1);
         let rec = &back.records[0];
         assert_eq!(rec.report.experiment, "fig4_garbage");
@@ -346,50 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_documents_in_registry_order() {
-        let table4 = ShapesDoc::parse(
-            r#"{"schema": "epic-shapes-v2", "runner": {"shard": "1/2", "jobs": 1},
-                "experiments": [
-                {"id": "table4_token_variants", "claim": "", "assertions": [], "result": null}
-            ]}"#,
-        )
-        .unwrap();
-        let fig4 = demo_doc("fig4_garbage", false);
-        // Input order is reversed vs the registry (fig4 < table4).
-        let merged = ShapesDoc::merge(vec![table4, fig4]).expect("merge");
-        let ids: Vec<&str> = merged
-            .records
-            .iter()
-            .map(|r| r.report.experiment.as_str())
-            .collect();
-        assert_eq!(ids, ["fig4_garbage", "table4_token_variants"]);
-        assert_eq!(merged.runner.shard, "merge(2 inputs)");
-        assert_eq!(merged.runner.jobs, 4);
-        assert_eq!(merged.strict_failures(), 1, "fig4's strict miss survives");
-    }
-
-    #[test]
-    fn merge_rejects_duplicate_ids() {
-        let a = demo_doc("fig4_garbage", true);
-        let b = demo_doc("fig4_garbage", true);
-        let err = ShapesDoc::merge(vec![a, b]).unwrap_err();
-        assert!(err.contains("fig4_garbage"), "error names the dup: {err}");
-    }
-
-    #[test]
-    fn unknown_ids_merge_after_registry_ids() {
-        let known = demo_doc("table4_token_variants", true);
-        let unknown = demo_doc("zz_not_in_registry", true);
-        let merged = ShapesDoc::merge(vec![unknown, known]).unwrap();
-        let ids: Vec<&str> = merged
-            .records
-            .iter()
-            .map(|r| r.report.experiment.as_str())
-            .collect();
-        assert_eq!(ids, ["table4_token_variants", "zz_not_in_registry"]);
-    }
-
-    #[test]
     fn shapes_json_is_written_and_nan_safe() {
         let _guard = crate::report::env_lock();
         let dir = std::env::temp_dir().join("epic_shapes_test");
@@ -405,7 +298,7 @@ mod tests {
         let report = evaluate(&oracle, &result);
         let doc = ShapesDoc {
             records: vec![ShapeRecord::from_run(report, &result, 1.0, 1)],
-            runner: RunnerMeta::serial(),
+            jobs: 1,
         };
         let path = doc.write_default();
         let text = std::fs::read_to_string(&path).expect("SHAPES.json written");

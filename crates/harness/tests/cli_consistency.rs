@@ -4,12 +4,10 @@
 //! output matches the registry line for line (and survives a closed
 //! pipe), every listed experiment
 //! has exactly one paper-shape oracle (no orphans in either direction),
-//! and the process-runner surface (`--shard`, `-j`, `--one`,
-//! `merge-shapes`) round-trips end to end.
+//! and the process-runner surface (`-j`, `--one`) round-trips end to end.
 
 use epic_harness::experiments::all_experiments;
 use epic_harness::oracle::{all_oracles, oracle_for, Tier};
-use epic_harness::runner::pool::{EventKind, PoolEvent};
 use epic_harness::shapes::ShapesDoc;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -123,38 +121,6 @@ fn epic_run_list_survives_a_closed_pipe() {
     }
 }
 
-/// The three `--shard K/3` listings partition the registry: disjoint,
-/// union equals the full list, each shard in registry order.
-#[test]
-fn epic_run_list_shards_partition_the_registry() {
-    let registry: Vec<String> = all_experiments().into_iter().map(|e| e.id).collect();
-    let mut seen: Vec<String> = Vec::new();
-    for shard in ["1/3", "2/3", "3/3"] {
-        let out = epic_run(&["list", "--shard", shard]);
-        assert!(out.status.success(), "list --shard {shard} failed: {out:?}");
-        let ids = listed_ids(&out);
-        let mut in_registry_order = ids.clone();
-        in_registry_order.sort_by_key(|id| registry.iter().position(|r| r == id));
-        assert_eq!(
-            ids, in_registry_order,
-            "shard {shard} not in registry order"
-        );
-        for id in ids {
-            assert!(!seen.contains(&id), "{id} listed in two shards");
-            seen.push(id);
-        }
-    }
-    seen.sort_by_key(|id| registry.iter().position(|r| r == id));
-    assert_eq!(seen, registry, "shard union must be the full registry");
-    // 1/1 is exactly the unsharded list.
-    assert_eq!(listed_ids(&epic_run(&["list", "--shard", "1/1"])), registry);
-    // Malformed shard specs are usage errors.
-    for bad in ["0/3", "4/3", "1-3", "x/y"] {
-        let out = epic_run(&["list", "--shard", bad]);
-        assert_eq!(out.status.code(), Some(2), "--shard {bad} must exit 2");
-    }
-}
-
 #[test]
 fn epic_run_rejects_unknown_experiment_and_lists_valid_ids() {
     let out = epic_run(&["no_such_experiment"]);
@@ -176,15 +142,22 @@ fn epic_run_rejects_unknown_experiment_and_lists_valid_ids() {
     }
 }
 
-/// `adaptive_tracking` was a builtin until ISSUE 16 deleted it: a stale
-/// script gets the usage error a typo gets, bare and under `check`.
+/// `adaptive_tracking` was a builtin until the adaptive free mode was
+/// deleted, and `merge-shapes` a subcommand until `check -j N` became
+/// the one way to run the oracles: a stale script gets the usage error a
+/// typo gets.
 #[test]
 fn epic_run_rejects_the_deleted_adaptive_tracking_id() {
-    for args in [&["adaptive_tracking"][..], &["check", "adaptive_tracking"]] {
+    for args in [
+        &["adaptive_tracking"][..],
+        &["check", "adaptive_tracking"],
+        &["merge-shapes", "a.json"],
+    ] {
         let out = epic_run(args);
         let stderr = stderr_of(&out);
+        let stale = args.iter().find(|a| *a != &"check").unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("unknown experiment 'adaptive_tracking'"));
+        assert!(stderr.contains(&format!("unknown experiment '{stale}'")));
         assert!(stderr.contains("fig1_scaling"), "lists valid ids: {stderr}");
     }
 }
@@ -245,40 +218,38 @@ fn epic_run_check_rejects_bad_flags() {
         &["check", "--jobs", "zero"][..],
         &["check", "-j"][..],
         &["check", "--frobnicate"][..],
-        &["check", "--shard", "3/2"][..],
+        // Deleted flags fall through to "unknown flag".
+        &["check", "--shard", "1/3"][..],
+        &["check", "--events", "x"][..],
+        &["check", "--timeout-secs", "5"][..],
+        &["list", "--shard", "1/3"][..],
     ] {
         let out = epic_run(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {out:?}");
     }
 }
 
-/// An empty selection must not report green: a typo'd shard/id combo
-/// (an id whose shard filter excludes it, or a shard index past the
-/// registry size) exits 2 instead of "0 experiments, 0 failures".
+/// An empty selection must not report green: an origin filter that
+/// excludes everything exits 2 instead of "0 experiments, 0 failures".
 #[test]
 fn epic_run_check_refuses_empty_selection() {
-    // Find a shard (of 3) that does NOT contain fig7_passfirst.
-    let excluded = (1..=3)
-        .find(|k| {
-            !listed_ids(&epic_run(&["list", "--shard", &format!("{k}/3")]))
-                .contains(&"fig7_passfirst".to_string())
-        })
-        .expect("some shard excludes fig7");
-    let out = epic_run(&[
-        "check",
-        "fig7_passfirst",
-        "--shard",
-        &format!("{excluded}/3"),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "empty selection must exit 2");
-    assert!(stderr_of(&out).contains("selection is empty"));
-    // A shard index past the registry size is empty too.
-    let out = epic_run(&["check", "--shard", "60/64"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // No EPIC_RUNBOOK, so there are no runbook cells to select.
+    for args in [
+        &["check", "--origin", "runbook"][..],
+        &["check", "fig7_passfirst", "--origin", "runbook"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_epic-run"))
+            .args(args)
+            .env_remove("EPIC_RUNBOOK")
+            .output()
+            .expect("spawn epic-run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(stderr_of(&out).contains("selection is empty"));
+    }
 }
 
 /// Repeated ids collapse to one run — the job engine keys per-child
-/// artifacts by id, and `merge` rejects duplicate records.
+/// artifacts by id.
 #[test]
 fn epic_run_check_deduplicates_repeated_ids() {
     let dir = scratch_dir("dedup");
@@ -301,13 +272,13 @@ fn epic_run_check_deduplicates_repeated_ids() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The full child/merge round trip: two `--one` self-invocations (what
-/// the job engine spawns) produce single-record v2 documents, and
-/// `merge-shapes` fans them into one registry-ordered verdict table +
-/// SHAPES.json. Feeding the same document twice is a conflict.
+/// The child half of the job engine: two `--one` self-invocations (what
+/// `check -j N` spawns) each produce a single-record v2 document that
+/// parses back. The combining half is
+/// `parallel_check_produces_merged_v2_shapes`.
 #[test]
 fn one_and_merge_shapes_round_trip() {
-    let dir = scratch_dir("merge");
+    let dir = scratch_dir("one");
     let a = dir.join("fig7.json");
     let b = dir.join("fig8.json");
     for (id, path) in [("fig7_passfirst", &a), ("fig8_periodic", &b)] {
@@ -321,41 +292,10 @@ fn one_and_merge_shapes_round_trip() {
         );
         let doc = ShapesDoc::parse(&std::fs::read_to_string(path).expect("result json"))
             .expect("child output parses");
-        assert_eq!(doc.records.len(), 1);
+        assert_eq!((doc.records.len(), doc.jobs), (1, 1));
         assert_eq!(doc.records[0].report.experiment, id);
         assert!(doc.records[0].duration_ms > 0.0, "duration must be stamped");
     }
-    // Merge in reverse order: output must come back in registry order.
-    let out = epic_run_tiny(
-        &["merge-shapes", b.to_str().unwrap(), a.to_str().unwrap()],
-        &dir,
-    );
-    assert!(
-        matches!(out.status.code(), Some(0 | 1)),
-        "merge must complete: {out:?}"
-    );
-    let stdout = stdout_of(&out);
-    let (p7, p8) = (
-        stdout.find("fig7_passfirst").expect("fig7 in table"),
-        stdout.find("fig8_periodic").expect("fig8 in table"),
-    );
-    assert!(p7 < p8, "verdict table must be in registry order");
-    assert!(stdout.contains("check: 2 experiments"));
-    let merged = std::fs::read_to_string(dir.join("SHAPES.json")).expect("merged SHAPES.json");
-    assert!(merged.contains("\"schema\": \"epic-shapes-v2\""));
-    let merged = ShapesDoc::parse(&merged).expect("merged file parses");
-    assert_eq!(merged.records.len(), 2);
-    assert!(merged.runner.shard.starts_with("merge("));
-    // Duplicate inputs conflict.
-    let out = epic_run_tiny(
-        &["merge-shapes", a.to_str().unwrap(), a.to_str().unwrap()],
-        &dir,
-    );
-    assert_eq!(out.status.code(), Some(2), "duplicate id must exit 2");
-    assert!(stderr_of(&out).contains("fig7_passfirst"));
-    // Unreadable input is a usage error.
-    let out = epic_run_tiny(&["merge-shapes", "/no/such/file.json"], &dir);
-    assert_eq!(out.status.code(), Some(2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -386,8 +326,7 @@ fn parallel_check_produces_merged_v2_shapes() {
         .map(|r| r.report.experiment.as_str())
         .collect();
     assert_eq!(ids, ["fig7_passfirst", "fig8_periodic"], "registry order");
-    assert_eq!(doc.runner.jobs, 2);
-    assert_eq!(doc.runner.shard, "1/1");
+    assert_eq!(doc.jobs, 2);
     for rec in &doc.records {
         assert_eq!(rec.attempts, 1, "healthy children need one attempt");
         assert!(rec.duration_ms > 0.0);
@@ -417,74 +356,6 @@ fn parallel_check_produces_merged_v2_shapes() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `--events <path>` streams the `epic-events-v1` NDJSON progress feed:
-/// every line parses back through [`PoolEvent::parse`], each experiment
-/// is queued, started, and finished exactly once (healthy children), and
-/// finished events carry duration + verdict. The serial (`-j 1`) path
-/// emits the same stream shape.
-#[test]
-fn check_events_flag_streams_ndjson_progress() {
-    for jobs in ["1", "2"] {
-        let dir = scratch_dir(&format!("events{jobs}"));
-        let events = dir.join("events.ndjson");
-        let out = epic_run_tiny(
-            &[
-                "check",
-                "fig7_passfirst",
-                "fig8_periodic",
-                "-j",
-                jobs,
-                "--events",
-                events.to_str().unwrap(),
-            ],
-            &dir,
-        );
-        assert!(
-            matches!(out.status.code(), Some(0 | 1)),
-            "-j {jobs} check must complete: {out:?}"
-        );
-        let text = std::fs::read_to_string(&events).expect("events file");
-        let parsed: Vec<PoolEvent> = text
-            .lines()
-            .map(|l| PoolEvent::parse(l).unwrap_or_else(|e| panic!("-j {jobs}: bad line {l}: {e}")))
-            .collect();
-        for id in ["fig7_passfirst", "fig8_periodic"] {
-            for kind in [EventKind::Queued, EventKind::Started, EventKind::Finished] {
-                let n = parsed
-                    .iter()
-                    .filter(|ev| ev.kind == kind && ev.experiment == id)
-                    .count();
-                assert_eq!(n, 1, "-j {jobs}: {id} should have exactly one {kind:?}");
-            }
-            let fin = parsed
-                .iter()
-                .find(|ev| ev.kind == EventKind::Finished && ev.experiment == id)
-                .unwrap();
-            assert_eq!(fin.outcome.as_deref(), Some("completed"), "-j {jobs}");
-            assert!(fin.duration_ms.unwrap_or(0.0) > 0.0, "-j {jobs}");
-            assert!(
-                matches!(fin.verdict.as_deref(), Some("PASS" | "ADVISORY" | "FAIL")),
-                "-j {jobs}: verdict {:?}",
-                fin.verdict
-            );
-            // queued <= started <= finished in wall-clock order.
-            let ts = |kind| {
-                parsed
-                    .iter()
-                    .find(|ev| ev.kind == kind && ev.experiment == id)
-                    .unwrap()
-                    .ts_ms
-            };
-            assert!(ts(EventKind::Queued) <= ts(EventKind::Started), "-j {jobs}");
-            assert!(
-                ts(EventKind::Started) <= ts(EventKind::Finished),
-                "-j {jobs}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 /// `bench-diff` was a subcommand until ISSUE 17 moved the zero-allocation
