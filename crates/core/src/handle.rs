@@ -522,7 +522,13 @@ impl<'h> OpGuard<'h> {
                     if s.load(Ordering::Relaxed) != e {
                         // SeqCst: publication precedes the validating
                         // re-read.
-                        s.store(e, Ordering::SeqCst);
+                        s.store(
+                            e,
+                            crate::mutants::ord(
+                                crate::mutants::M_ERA_PUBLISH_RELAXED,
+                                Ordering::SeqCst,
+                            ),
+                        );
                     }
                     let again = link.load(Ordering::Acquire);
                     if again == raw {
@@ -542,9 +548,12 @@ impl<'h> OpGuard<'h> {
                     let e = era.load(Ordering::SeqCst);
                     if exit.load(Ordering::Relaxed) != e {
                         // Double-word publication: enter, fence, exit.
-                        enter.store(e, Ordering::SeqCst);
-                        fence(Ordering::SeqCst);
-                        exit.store(e, Ordering::SeqCst);
+                        use crate::mutants::{active, ord, M_ERA_PUBLISH_RELAXED as M};
+                        enter.store(e, ord(M, Ordering::SeqCst));
+                        if !active(M) {
+                            fence(Ordering::SeqCst);
+                        }
+                        exit.store(e, ord(M, Ordering::SeqCst));
                     }
                     let again = link.load(Ordering::Acquire);
                     if again == raw {

@@ -325,11 +325,11 @@ pub fn build_raw_smr(
             schemes::token::TokenVariant::Periodic,
         )),
         SmrKind::Hp => Arc::new(schemes::hp::HpSmr::new(alloc, cfg)),
-        SmrKind::He => Arc::new(schemes::he::HeSmr::new(alloc, cfg)),
-        SmrKind::Ibr => Arc::new(schemes::ibr::IbrSmr::new(alloc, cfg)),
+        SmrKind::He => Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind)),
+        SmrKind::Ibr => Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind)),
         SmrKind::Nbr => Arc::new(schemes::nbr::NbrSmr::new(alloc, cfg, false)),
         SmrKind::NbrPlus => Arc::new(schemes::nbr::NbrSmr::new(alloc, cfg, true)),
-        SmrKind::Wfe => Arc::new(schemes::wfe::WfeSmr::new(alloc, cfg)),
+        SmrKind::Wfe => Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind)),
     }
 }
 

@@ -37,6 +37,13 @@ pub const M_QSBR_DETACH_SKIP: u64 = 1 << 2;
 /// the double-free the free-count==1 oracle exists to catch.
 pub const M_SPLICE_KEEP_SOURCE: u64 = 1 << 3;
 
+/// he / wfe: publish the era slot with `Relaxed` instead of `SeqCst` —
+/// he's single store, and wfe's enter and exit stores with the fence
+/// between them dropped (`std` has no `Relaxed` fence). The era can then
+/// sit in the store buffer past the re-read validation, so a concurrent
+/// scan misses the reservation and frees a protected block.
+pub const M_ERA_PUBLISH_RELAXED: u64 = 1 << 4;
+
 /// Whether mutant `mask` is active in the current model-check run.
 /// Always `false` in normal builds.
 #[cfg(epic_model_check)]

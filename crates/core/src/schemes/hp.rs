@@ -12,12 +12,13 @@
 //! scan-based reclamation still frees in batches — so it also benefits
 //! (modestly, §5) from amortized freeing.
 
+use super::reclaim_unannounced;
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
-use crate::sync::{fence, AtomicUsize, Ordering};
+use crate::sync::{AtomicUsize, Ordering};
 use epic_alloc::{PoolAllocator, Tid};
 use epic_util::{SlotBlocks, TidSlots};
 use std::ptr::NonNull;
@@ -54,32 +55,6 @@ impl HpSmr {
     pub(crate) fn slot_value(&self, tid: Tid, slot: usize) -> usize {
         self.slots.block(tid)[slot].load(Ordering::Relaxed)
     }
-
-    /// Scans all hazard slots and frees every bagged object that is not
-    /// announced; announced objects stay in the bag for the next scan.
-    /// The hazard snapshot lives in recycled scratch and the bag is
-    /// partitioned in place, so a scan performs no heap allocation.
-    fn scan_and_reclaim(&self, tid: Tid, state: &mut HpThread) {
-        self.common.stats.get(tid).on_scan();
-        // The fence pairs with the SeqCst protect stores: any protect that
-        // precedes our scan in the SeqCst order is observed.
-        fence(Ordering::SeqCst);
-        let mut hazards = self.common.scratch(tid, self.slots.count());
-        hazards.extend(
-            self.slots
-                .iter()
-                .map(|s| s.load(Ordering::Acquire) as u64)
-                .filter(|&p| p != 0),
-        );
-        hazards.sort_unstable();
-        let mut freeable = RetiredList::new();
-        state.bag.partition_into(
-            |r| hazards.binary_search(&(r.addr() as u64)).is_ok(),
-            &mut freeable,
-        );
-        self.common.scratch_done(tid, hazards);
-        self.common.dispose(tid, &mut freeable);
-    }
 }
 
 impl RawSmr for HpSmr {
@@ -107,7 +82,11 @@ impl RawSmr for HpSmr {
         unsafe { state.bag.push_retire(ptr, 0) };
         let threshold = self.common.cfg.bag_cap.max(2 * self.slots.count());
         if state.bag.len() >= threshold {
-            self.scan_and_reclaim(tid, state);
+            // Free every bagged object no hazard slot announces; announced
+            // ones stay in the bag for the next scan.
+            self.common.stats.get(tid).on_scan();
+            let scratch = self.common.scratch(tid, self.slots.count());
+            reclaim_unannounced(&self.common, tid, &self.slots, &mut state.bag, scratch);
         }
     }
 

@@ -8,21 +8,23 @@
 //! | [`qsbr`] | `qsbr` | quiescent-state-based reclamation (Hart et al.) |
 //! | [`rcu`] | `rcu` | classic per-operation EBR (Fraser / Hart's RCU) |
 //! | [`hp`] | `hp` | hazard pointers (Michael) |
-//! | [`he`] | `he` | hazard eras (Ramalhete & Correia) |
-//! | [`ibr`] | `ibr` | 2GE interval-based reclamation (Wen et al.) |
+//! | [`era`] | `he`, `wfe`, `ibr` | hazard eras (Ramalhete & Correia); wait-free eras (Nikolaev & Ravindran), simplified, as `he`'s double-word shape; 2GE interval-based reclamation (Wen et al.) |
 //! | [`nbr`] | `nbr`, `nbr+` | neutralization-based reclamation (Singh et al.), cooperative-signal variant |
-//! | [`wfe`] | `wfe` | wait-free eras (Nikolaev & Ravindran), simplified |
 
 pub mod debra;
-pub mod he;
+pub mod era;
 pub mod hp;
-pub mod ibr;
 pub mod leak;
 pub mod nbr;
 pub mod qsbr;
 pub mod rcu;
 pub mod token;
-pub mod wfe;
+
+use crate::common::SchemeCommon;
+use crate::retired::RetiredList;
+use crate::sync::{fence, AtomicUsize, Ordering};
+use epic_alloc::{Segment, Tid};
+use epic_util::SlotBlocks;
 
 /// A tagged limbo bag: retirements plus the epoch they belong to. The
 /// items are an intrusive [`crate::RetiredList`], so filling, rotating and
@@ -31,4 +33,36 @@ pub mod wfe;
 pub(crate) struct EpochBag {
     pub epoch: u64,
     pub items: crate::retired::RetiredList,
+}
+
+/// The address-snapshot reclaim of `hp` (hazard slots) and `nbr`
+/// (write-phase reservations): disposes of every object in `bag` whose
+/// address no slot announces; announced objects stay. The sorted snapshot
+/// lives in `scratch` and the bag is partitioned in place: no heap
+/// allocation.
+pub(crate) fn reclaim_unannounced(
+    common: &SchemeCommon,
+    tid: Tid,
+    slots: &SlotBlocks<AtomicUsize>,
+    bag: &mut RetiredList,
+    mut scratch: Segment,
+) {
+    // The fence pairs with the SeqCst announcement stores: any announcement
+    // that precedes this scan in the SeqCst order is observed.
+    fence(Ordering::SeqCst);
+    scratch.clear();
+    scratch.extend(
+        slots
+            .iter()
+            .map(|s| s.load(Ordering::Acquire) as u64)
+            .filter(|&p| p != 0),
+    );
+    scratch.sort_unstable();
+    let mut freeable = RetiredList::new();
+    bag.partition_into(
+        |r| scratch.binary_search(&(r.addr() as u64)).is_ok(),
+        &mut freeable,
+    );
+    common.scratch_done(tid, scratch);
+    common.dispose(tid, &mut freeable);
 }

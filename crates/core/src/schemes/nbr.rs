@@ -42,15 +42,16 @@
 //! state most threads' ops are newer than the sealed bag, so `nbr+`
 //! neutralizes almost no one.
 
+use super::reclaim_unannounced;
 use crate::common::SchemeCommon;
 use crate::config::SmrConfig;
 use crate::retired::RetiredList;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
-use crate::sync::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use epic_alloc::{PoolAllocator, Tid};
 use epic_timeline::EventKind;
-use epic_util::{now_ns, Backoff, CachePadded, TidSlots};
+use epic_util::{now_ns, Backoff, CachePadded, SlotBlocks, TidSlots};
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -84,9 +85,9 @@ pub struct NbrSmr {
     common: SchemeCommon,
     plus: bool,
     shared: Box<[CachePadded<NbrShared>]>,
-    /// Write-phase reservations: `reservations[tid * k + i]`.
-    reservations: Box<[AtomicUsize]>,
-    k: usize,
+    /// Write-phase reservations, `hp_slots` per thread, each thread's
+    /// block on its own cache lines.
+    reservations: SlotBlocks<AtomicUsize>,
     global_seq: AtomicU64,
     threads: TidSlots<NbrThread>,
 }
@@ -95,7 +96,6 @@ impl NbrSmr {
     /// Builds the scheme; `plus` selects the nbr+ skip optimization.
     pub fn new(alloc: Arc<dyn PoolAllocator>, cfg: SmrConfig, plus: bool) -> Self {
         let n = cfg.max_threads;
-        let k = cfg.hp_slots;
         NbrSmr {
             plus,
             shared: (0..n)
@@ -109,11 +109,7 @@ impl NbrSmr {
                 })
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            reservations: (0..n * k)
-                .map(|_| AtomicUsize::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            k,
+            reservations: SlotBlocks::new_with(n, cfg.hp_slots, || AtomicUsize::new(0)),
             global_seq: AtomicU64::new(0),
             threads: TidSlots::new_with(n, |_| NbrThread {
                 current: RetiredList::new(),
@@ -137,7 +133,7 @@ impl NbrSmr {
         // threads). The acknowledgment flags live in recycled scratch —
         // one word per thread — so a reclaim pass allocates nothing.
         let n = self.shared.len();
-        let mut scratch = self.common.scratch(tid, n.max(self.reservations.len()));
+        let mut scratch = self.common.scratch(tid, n.max(self.reservations.count()));
         scratch.resize(n, 0);
         for (t, sh) in self.shared.iter().enumerate() {
             if t == tid {
@@ -185,22 +181,13 @@ impl NbrSmr {
         // Phase 3: collect write-phase reservations as hazards (reusing
         // the scratch the handshake is done with) and free the rest of the
         // sealed bag (hazarded objects stay sealed).
-        fence(Ordering::SeqCst);
-        scratch.clear();
-        scratch.extend(
-            self.reservations
-                .iter()
-                .map(|r| r.load(Ordering::Acquire) as u64)
-                .filter(|&p| p != 0),
+        reclaim_unannounced(
+            &self.common,
+            tid,
+            &self.reservations,
+            &mut state.sealed,
+            scratch,
         );
-        scratch.sort_unstable();
-        let mut freeable = RetiredList::new();
-        state.sealed.partition_into(
-            |r| scratch.binary_search(&(r.addr() as u64)).is_ok(),
-            &mut freeable,
-        );
-        self.common.scratch_done(tid, scratch);
-        self.common.dispose(tid, &mut freeable);
         self.common.record_epoch_advance(tid, seq);
         true
     }
@@ -232,8 +219,8 @@ impl RawSmr for NbrSmr {
     fn end_op(&self, tid: Tid) {
         let sh = &self.shared[tid];
         sh.status.store(IDLE, Ordering::SeqCst);
-        for i in 0..self.k {
-            self.reservations[tid * self.k + i].store(0, Ordering::Release);
+        for r in self.reservations.block(tid) {
+            r.store(0, Ordering::Release);
         }
     }
 
@@ -265,9 +252,13 @@ impl RawSmr for NbrSmr {
     }
 
     fn enter_write_phase(&self, tid: Tid, ptrs: &[usize]) {
-        debug_assert!(ptrs.len() <= self.k, "too many write-phase reservations");
+        let block = self.reservations.block(tid);
+        debug_assert!(
+            ptrs.len() <= block.len(),
+            "too many write-phase reservations"
+        );
         for (i, &p) in ptrs.iter().enumerate() {
-            self.reservations[tid * self.k + i].store(p, Ordering::SeqCst);
+            block[i].store(p, Ordering::SeqCst);
         }
         let sh = &self.shared[tid];
         sh.status.store(WRITE_PHASE, Ordering::SeqCst);

@@ -33,7 +33,8 @@ use epic_alloc::{
 };
 use epic_check::{check, explore, thread, yield_now, Config, Outcome};
 use epic_smr::mutants::{
-    M_HP_PUBLISH_RELAXED, M_IBR_BUMP_RELAXED, M_QSBR_DETACH_SKIP, M_SPLICE_KEEP_SOURCE,
+    M_ERA_PUBLISH_RELAXED, M_HP_PUBLISH_RELAXED, M_IBR_BUMP_RELAXED, M_QSBR_DETACH_SKIP,
+    M_SPLICE_KEEP_SOURCE,
 };
 use epic_smr::sync::{AtomicUsize, Ordering};
 use epic_smr::{build_smr, Smr, SmrConfig, SmrKind};
@@ -275,7 +276,7 @@ fn register_detach_churn_clean_passes() {
 }
 
 // ---------------------------------------------------------------------
-// Model 3: OpGuard protect_load vs concurrent retire (hp and ibr).
+// Model 3: OpGuard protect_load vs concurrent retire (hp, he, wfe, ibr).
 //
 // The reader protects a victim through a shared link while the
 // reclaimer unlinks and retires it plus enough filler to force a scan.
@@ -383,29 +384,40 @@ fn hp_protect_clean_passes() {
     check(Config::random(400).with_seed(0x4421), hp_protect_model);
 }
 
-#[test]
-fn hp_publish_relaxed_mutant_is_killed() {
-    let out = explore(
-        Config::random(600)
-            .with_seed(0x4422)
-            .with_ctx(M_HP_PUBLISH_RELAXED),
-        hp_protect_model,
-    );
-    match out {
+/// Asserts that the mutant in `cfg`'s context gets a protected block freed
+/// under the guard in `model` within `cfg`'s schedule budget.
+fn protect_mutant_is_killed(cfg: Config, model: impl Fn() + Sync) {
+    match explore(cfg, model) {
         Outcome::Fail(f) => assert!(
             f.message.contains("freed under the guard") || f.message.contains("double free"),
             "unexpected failure: {}",
             f.message
         ),
-        Outcome::Pass { .. } => panic!("hp relaxed-publish mutant survived the checker"),
+        Outcome::Pass { .. } => panic!("relaxed-publish mutant survived the checker"),
     }
 }
 
-fn ibr_protect_model() {
+#[test]
+fn hp_publish_relaxed_mutant_is_killed() {
+    protect_mutant_is_killed(
+        Config::random(600)
+            .with_seed(0x4422)
+            .with_ctx(M_HP_PUBLISH_RELAXED),
+        hp_protect_model,
+    );
+}
+
+/// The era shapes (`he`, `wfe`, `ibr`) share one scenario: the reader
+/// pins, the era moves, a victim born in the newer era is published, and
+/// the reader's hop must publish that newer era before the unlink and
+/// scan. For `ibr` the pin is `begin_op`'s `[e, e]` and the hop widens
+/// `hi`; `he` and `wfe` pin nothing and the hop stores the era to a slot.
+fn era_protect_model(kind: SmrKind) {
     let alloc = TrackingAlloc::new(2);
     let mut cfg = SmrConfig::new(2).with_bag_cap(2);
     cfg.era_freq = 1;
-    let s = smr_with(SmrKind::Ibr, alloc.clone(), cfg);
+    cfg.hp_slots = 1;
+    let s = smr_with(kind, alloc.clone(), cfg);
     let link = Arc::new(AtomicUsize::new(0));
     let phase = Arc::new(StdAtomicUsize::new(0));
     let bailed = Arc::new(StdAtomicUsize::new(0));
@@ -418,18 +430,18 @@ fn ibr_protect_model() {
         let bailed = bailed.clone();
         thread::spawn(move || {
             let h = s.register(0);
-            // begin_op pins [lo, hi] at the current era, BEFORE the
-            // reclaimer's era bump: protecting the later-born victim
-            // then requires the interval-widening store the mutant
-            // weakens.
+            // begin_op runs BEFORE the reclaimer's era bump (for ibr it
+            // pins [lo, hi] at the current era): protecting the
+            // later-born victim then requires the era-publishing store
+            // the mutants weaken.
             let g = h.begin_op();
-            phase.store(1, StdOrdering::SeqCst); // interval pinned
+            phase.store(1, StdOrdering::SeqCst); // pinned
             if !await_phase(&phase, 2) {
                 return; // reclaimer starved; it allocated nothing
             }
-            // Victim is published and born in a newer era than our pinned
-            // interval: this hop must widen [lo, hi].
-            let p = g.protect_load(0, &link).expect("ibr never restarts");
+            // Victim is published and born in a newer era than our pin:
+            // this hop must publish that era.
+            let p = g.protect_load(0, &link).expect("era schemes never restart");
             if bailed.load(StdOrdering::SeqCst) != 0 {
                 return; // starved reclaimer cleaned up; nothing to check
             }
@@ -478,26 +490,54 @@ fn ibr_protect_model() {
 }
 
 #[test]
+fn he_protect_clean_passes() {
+    check(Config::random(400).with_seed(0x4e41), || {
+        era_protect_model(SmrKind::He)
+    });
+}
+
+#[test]
+fn wfe_protect_clean_passes() {
+    check(Config::random(400).with_seed(0x3fe1), || {
+        era_protect_model(SmrKind::Wfe)
+    });
+}
+
+#[test]
 fn ibr_protect_clean_passes() {
-    check(Config::random(400).with_seed(0x1b41), ibr_protect_model);
+    check(Config::random(400).with_seed(0x1b41), || {
+        era_protect_model(SmrKind::Ibr)
+    });
+}
+
+#[test]
+fn he_era_publish_relaxed_mutant_is_killed() {
+    protect_mutant_is_killed(
+        Config::random(600)
+            .with_seed(0x4e42)
+            .with_ctx(M_ERA_PUBLISH_RELAXED),
+        || era_protect_model(SmrKind::He),
+    );
+}
+
+#[test]
+fn wfe_era_publish_relaxed_mutant_is_killed() {
+    protect_mutant_is_killed(
+        Config::random(600)
+            .with_seed(0x3fe2)
+            .with_ctx(M_ERA_PUBLISH_RELAXED),
+        || era_protect_model(SmrKind::Wfe),
+    );
 }
 
 #[test]
 fn ibr_bump_relaxed_mutant_is_killed() {
-    let out = explore(
+    protect_mutant_is_killed(
         Config::random(600)
             .with_seed(0x1b42)
             .with_ctx(M_IBR_BUMP_RELAXED),
-        ibr_protect_model,
+        || era_protect_model(SmrKind::Ibr),
     );
-    match out {
-        Outcome::Fail(f) => assert!(
-            f.message.contains("freed under the guard") || f.message.contains("double free"),
-            "unexpected failure: {}",
-            f.message
-        ),
-        Outcome::Pass { .. } => panic!("ibr relaxed-bump mutant survived the checker"),
-    }
 }
 
 // ---------------------------------------------------------------------
