@@ -306,9 +306,9 @@ pub fn build_raw_smr(
 ) -> Arc<dyn RawSmr> {
     match kind {
         SmrKind::None => Arc::new(schemes::leak::LeakSmr::new(alloc, cfg)),
-        SmrKind::Qsbr => Arc::new(schemes::qsbr::QsbrSmr::new(alloc, cfg)),
-        SmrKind::Rcu => Arc::new(schemes::rcu::RcuSmr::new(alloc, cfg)),
-        SmrKind::Debra => Arc::new(schemes::debra::DebraSmr::new(alloc, cfg)),
+        SmrKind::Qsbr | SmrKind::Rcu | SmrKind::Debra => {
+            Arc::new(schemes::epoch::EpochSmr::new(alloc, cfg, kind))
+        }
         SmrKind::TokenNaive => Arc::new(schemes::token::TokenSmr::new(
             alloc,
             cfg,
@@ -325,11 +325,11 @@ pub fn build_raw_smr(
             schemes::token::TokenVariant::Periodic,
         )),
         SmrKind::Hp => Arc::new(schemes::hp::HpSmr::new(alloc, cfg)),
-        SmrKind::He => Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind)),
-        SmrKind::Ibr => Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind)),
+        SmrKind::He | SmrKind::Wfe | SmrKind::Ibr => {
+            Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind))
+        }
         SmrKind::Nbr => Arc::new(schemes::nbr::NbrSmr::new(alloc, cfg, false)),
         SmrKind::NbrPlus => Arc::new(schemes::nbr::NbrSmr::new(alloc, cfg, true)),
-        SmrKind::Wfe => Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind)),
     }
 }
 

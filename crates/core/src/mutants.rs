@@ -26,7 +26,7 @@ pub const M_HP_PUBLISH_RELAXED: u64 = 1;
 /// interval and free a block the reader is about to use.
 pub const M_IBR_BUMP_RELAXED: u64 = 1 << 1;
 
-/// qsbr: `detach` forgets to announce OFFLINE. The departed thread
+/// qsbr: `detach` forgets to set the `QUIESCENT` bit. The departed thread
 /// pins the fuzzy barrier forever, the global epoch stops advancing and
 /// nothing is ever freed (a liveness failure the free-progress oracle
 /// sees as a zero freed-delta).
@@ -43,6 +43,12 @@ pub const M_SPLICE_KEEP_SOURCE: u64 = 1 << 3;
 /// sit in the store buffer past the re-read validation, so a concurrent
 /// scan misses the reservation and frees a protected block.
 pub const M_ERA_PUBLISH_RELAXED: u64 = 1 << 4;
+
+/// debra / rcu / qsbr: the advance rule also accepts an in-operation
+/// announcement of an *older* epoch. The epoch then runs past a reader
+/// that is still inside its operation, and the bag holding a block the
+/// reader loaded is freed under it.
+pub const M_EPOCH_ADVANCE_UNOBSERVED: u64 = 1 << 5;
 
 /// Whether mutant `mask` is active in the current model-check run.
 /// Always `false` in normal builds.

@@ -3,21 +3,17 @@
 //! | module | scheme(s) | paper role |
 //! |---|---|---|
 //! | [`leak`] | `none` | the leaky "upper bound" baseline the paper's AF schemes beat |
-//! | [`debra`] | `debra` | state-of-the-art EBR whose batch frees expose the RBF problem (§3) |
+//! | [`epoch`] | `debra`, `rcu`, `qsbr` | DEBRA (Brown), the state-of-the-art EBR whose batch frees expose the RBF problem (§3); classic per-operation EBR (Fraser / Hart's RCU); quiescent-state-based reclamation (Hart et al.) |
 //! | [`token`] | `token_naive`, `token_passfirst`, `token`, (`token_af` via AF mode) | §4's Token-EBR progression |
-//! | [`qsbr`] | `qsbr` | quiescent-state-based reclamation (Hart et al.) |
-//! | [`rcu`] | `rcu` | classic per-operation EBR (Fraser / Hart's RCU) |
 //! | [`hp`] | `hp` | hazard pointers (Michael) |
 //! | [`era`] | `he`, `wfe`, `ibr` | hazard eras (Ramalhete & Correia); wait-free eras (Nikolaev & Ravindran), simplified, as `he`'s double-word shape; 2GE interval-based reclamation (Wen et al.) |
 //! | [`nbr`] | `nbr`, `nbr+` | neutralization-based reclamation (Singh et al.), cooperative-signal variant |
 
-pub mod debra;
+pub mod epoch;
 pub mod era;
 pub mod hp;
 pub mod leak;
 pub mod nbr;
-pub mod qsbr;
-pub mod rcu;
 pub mod token;
 
 use crate::common::SchemeCommon;
@@ -25,15 +21,6 @@ use crate::retired::RetiredList;
 use crate::sync::{fence, AtomicUsize, Ordering};
 use epic_alloc::{Segment, Tid};
 use epic_util::SlotBlocks;
-
-/// A tagged limbo bag: retirements plus the epoch they belong to. The
-/// items are an intrusive [`crate::RetiredList`], so filling, rotating and
-/// disposing of a bag never allocates.
-#[derive(Debug, Default)]
-pub(crate) struct EpochBag {
-    pub epoch: u64,
-    pub items: crate::retired::RetiredList,
-}
 
 /// The address-snapshot reclaim of `hp` (hazard slots) and `nbr`
 /// (write-phase reservations): disposes of every object in `bag` whose

@@ -6,7 +6,7 @@
 //! come from `epic_check::atomic`: instrumented shims that yield to
 //! epic-check's controlled scheduler at every access and model TSO
 //! store buffers, so the scheme protocols (hazard publication, era
-//! bumps, limbo-bag splicing, QSBR announcements) can be exhaustively
+//! bumps, limbo-bag splicing, epoch announcements) can be exhaustively
 //! interleaved and replayed from a seed. See DESIGN.md §9.
 
 #[cfg(not(epic_model_check))]

@@ -33,8 +33,8 @@ use epic_alloc::{
 };
 use epic_check::{check, explore, thread, yield_now, Config, Outcome};
 use epic_smr::mutants::{
-    M_ERA_PUBLISH_RELAXED, M_HP_PUBLISH_RELAXED, M_IBR_BUMP_RELAXED, M_QSBR_DETACH_SKIP,
-    M_SPLICE_KEEP_SOURCE,
+    M_EPOCH_ADVANCE_UNOBSERVED, M_ERA_PUBLISH_RELAXED, M_HP_PUBLISH_RELAXED, M_IBR_BUMP_RELAXED,
+    M_QSBR_DETACH_SKIP, M_SPLICE_KEEP_SOURCE,
 };
 use epic_smr::sync::{AtomicUsize, Ordering};
 use epic_smr::{build_smr, Smr, SmrConfig, SmrKind};
@@ -393,7 +393,7 @@ fn protect_mutant_is_killed(cfg: Config, model: impl Fn() + Sync) {
             "unexpected failure: {}",
             f.message
         ),
-        Outcome::Pass { .. } => panic!("relaxed-publish mutant survived the checker"),
+        Outcome::Pass { .. } => panic!("protection-breaking mutant survived the checker"),
     }
 }
 
@@ -541,10 +541,152 @@ fn ibr_bump_relaxed_mutant_is_killed() {
 }
 
 // ---------------------------------------------------------------------
-// Model 4: detach must quiesce (qsbr).
+// Model 4: the epoch advance rule (debra, rcu, qsbr).
+//
+// The reader begins an operation and loads the link to X; the retirer
+// then unlinks and retires X and churns operations until the epoch would
+// have moved lag + 1 times, enough to free X had nobody held the epoch
+// back. The reader, still inside its operation, checks that X is
+// allocated. k = 1 and bag_cap = 1, so every operation of debra and qsbr
+// and every retire of rcu tries an advance; debra reads one of the two
+// announcements per try, hence two operations per advance. The
+// M_EPOCH_ADVANCE_UNOBSERVED mutant accepts the reader's older in-op
+// announcement, the epoch runs on and X is freed under the guard. Phase
+// gating and bailing out work as in model 3.
+// ---------------------------------------------------------------------
+fn epoch_advance_model(kind: SmrKind) {
+    let alloc = TrackingAlloc::new(2);
+    let mut cfg = SmrConfig::new(2).with_bag_cap(1);
+    cfg.epoch_check_every = 1;
+    let s = smr_with(kind, alloc.clone(), cfg);
+    let (lag, ops_per_advance) = if kind == SmrKind::Debra {
+        (3, 2)
+    } else {
+        (2, 1)
+    };
+
+    // X born before the race, published through `link`.
+    let x = {
+        let h = s.register(1);
+        let g = h.begin_op();
+        g.alloc(64).as_ptr() as usize
+    };
+    let link = Arc::new(AtomicUsize::new(x));
+    let phase = Arc::new(StdAtomicUsize::new(0));
+    let bailed = Arc::new(StdAtomicUsize::new(0));
+
+    let reader = {
+        let s = s.clone();
+        let link = link.clone();
+        let alloc = alloc.clone();
+        let phase = phase.clone();
+        let bailed = bailed.clone();
+        thread::spawn(move || {
+            let h = s.register(0);
+            let g = h.begin_op();
+            let p = g
+                .protect_load(0, &link)
+                .expect("epoch schemes never restart");
+            if bailed.load(StdOrdering::SeqCst) != 0 {
+                return; // starved retirer cleaned up; nothing to check
+            }
+            assert_eq!(p, x, "link is unlinked only after phase 1");
+            phase.store(1, StdOrdering::SeqCst); // in op, X loaded
+            if await_phase(&phase, 2) && bailed.load(StdOrdering::SeqCst) == 0 {
+                assert!(
+                    alloc.is_live(p),
+                    "block freed under the guard: the epoch ran past an in-op reader"
+                );
+            }
+        })
+    };
+    let retirer = {
+        let s = s.clone();
+        let link = link.clone();
+        let phase = phase.clone();
+        let bailed = bailed.clone();
+        thread::spawn(move || {
+            let h = s.register(1);
+            {
+                let g = h.begin_op();
+                if !await_phase(&phase, 1) {
+                    // Reader starved: flag first, then clean up (X still
+                    // must be retired exactly once).
+                    bailed.store(1, StdOrdering::SeqCst);
+                }
+                link.store(0, Ordering::SeqCst); // unlink
+                g.retire(NonNull::new(x as *mut u8).unwrap());
+            }
+            for _ in 0..ops_per_advance * (lag + 1) {
+                let g = h.begin_op();
+                let p = g.alloc(64);
+                g.retire(p);
+            }
+            phase.store(2, StdOrdering::SeqCst); // churned; reader may check
+        })
+    };
+    reader.join().unwrap();
+    retirer.join().unwrap();
+    s.quiesce_and_drain();
+    assert_eq!(alloc.live_count(), 0, "nothing leaked");
+}
+
+#[test]
+fn debra_epoch_advance_clean_passes() {
+    check(Config::random(300).with_seed(0xdeb1), || {
+        epoch_advance_model(SmrKind::Debra)
+    });
+}
+
+#[test]
+fn rcu_epoch_advance_clean_passes() {
+    check(Config::random(300).with_seed(0x2c01), || {
+        epoch_advance_model(SmrKind::Rcu)
+    });
+}
+
+#[test]
+fn qsbr_epoch_advance_clean_passes() {
+    check(Config::random(300).with_seed(0x45a1), || {
+        epoch_advance_model(SmrKind::Qsbr)
+    });
+}
+
+#[test]
+fn debra_epoch_advance_unobserved_mutant_is_killed() {
+    protect_mutant_is_killed(
+        Config::random(5)
+            .with_seed(0xdeb2)
+            .with_ctx(M_EPOCH_ADVANCE_UNOBSERVED),
+        || epoch_advance_model(SmrKind::Debra),
+    );
+}
+
+#[test]
+fn rcu_epoch_advance_unobserved_mutant_is_killed() {
+    protect_mutant_is_killed(
+        Config::random(5)
+            .with_seed(0x2c02)
+            .with_ctx(M_EPOCH_ADVANCE_UNOBSERVED),
+        || epoch_advance_model(SmrKind::Rcu),
+    );
+}
+
+#[test]
+fn qsbr_epoch_advance_unobserved_mutant_is_killed() {
+    protect_mutant_is_killed(
+        Config::random(5)
+            .with_seed(0x45a2)
+            .with_ctx(M_EPOCH_ADVANCE_UNOBSERVED),
+        || epoch_advance_model(SmrKind::Qsbr),
+    );
+}
+
+// ---------------------------------------------------------------------
+// Model 5: detach must quiesce (qsbr).
 //
 // Two workers retire and detach; then a fresh solo thread runs a few
-// ops. Clean: the departed threads' OFFLINE announcements let the
+// ops. Clean: the departed threads' QUIESCENT announcements let the
 // fuzzy barrier advance, so the solo phase provably frees (the delta
 // oracle). The M_QSBR_DETACH_SKIP mutant leaves a frozen announcement
 // pinning the barrier: the delta is zero in every schedule.
@@ -616,7 +758,7 @@ fn qsbr_detach_skip_mutant_is_killed() {
 }
 
 // ---------------------------------------------------------------------
-// Model 5: FreeBuffer flush under contention (hp + amortized).
+// Model 6: FreeBuffer flush under contention (hp + amortized).
 //
 // Both threads feed the per-thread FreeBuffers through scans while the
 // alloc-coupled drain pulls from them concurrently; teardown drains the

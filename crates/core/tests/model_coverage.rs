@@ -3,12 +3,24 @@
 //! compiles under `--cfg epic_model_check`, so a normal `cargo test` never
 //! sees it; this test reads it as text instead. Every seeded mutant in
 //! `src/mutants.rs` must be switched on by some model run
-//! (`with_ctx(M_...)`), and every scheme whose handle validates links (the
-//! slot/era schemes, whose protected blocks can be retired mid-operation)
-//! must be built by at least one model.
+//! (`with_ctx(M_...)`), and every scheme outside [`UNMODELLED`] must be
+//! built by at least one model.
 
 use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 use epic_smr::{build_smr, SmrConfig, SmrKind};
+
+/// The schemes no model builds yet. This list may only shrink: a kind that
+/// gains a model must leave it, and a kind on it can never lose one. No
+/// scheme whose handle validates links (whose protected blocks can be
+/// retired mid-operation) may be on it.
+const UNMODELLED: [SmrKind; 6] = [
+    SmrKind::None,
+    SmrKind::TokenNaive,
+    SmrKind::TokenPassFirst,
+    SmrKind::TokenPeriodic,
+    SmrKind::Nbr,
+    SmrKind::NbrPlus,
+];
 
 fn read(rel: &str) -> String {
     std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel))
@@ -44,24 +56,25 @@ fn every_mutant_is_enabled_by_a_model() {
 }
 
 #[test]
-fn every_validating_scheme_is_modelled() {
+fn every_scheme_outside_unmodelled_is_modelled() {
     let models = code_only(&read("tests/model_check.rs"));
-    let mut validating = Vec::new();
     for kind in SmrKind::ALL {
-        let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
-        if build_smr(kind, alloc, SmrConfig::new(1))
-            .register(0)
-            .validating()
-        {
-            validating.push(kind);
-        }
-    }
-    assert!(validating.contains(&SmrKind::Hp), "{validating:?}");
-    for kind in validating {
         let token = format!("SmrKind::{kind:?}");
         let modelled = models
             .match_indices(&token)
             .any(|(i, _)| !models[i + token.len()..].starts_with(char::is_alphanumeric));
-        assert!(modelled, "{token} validates links but no model builds it");
+        if UNMODELLED.contains(&kind) {
+            assert!(!modelled, "{token} is modelled now: take it off UNMODELLED");
+            let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
+            let validating = build_smr(kind, alloc, SmrConfig::new(1))
+                .register(0)
+                .validating();
+            assert!(!validating, "{token} validates links: it needs a model");
+        } else {
+            assert!(
+                modelled,
+                "{token} is built by no model in tests/model_check.rs"
+            );
+        }
     }
 }

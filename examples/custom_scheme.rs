@@ -13,7 +13,7 @@
 //! The scheme here is a deliberately minimal EBR ("MiniEbr"): one global
 //! epoch, per-thread announcements, and the conservative lag-2 free rule
 //! (objects retired under epoch tag `e` are freed once every thread has
-//! announced an epoch ≥ `e + 2`; see `epic-smr`'s `rcu.rs` for the safety
+//! announced an epoch ≥ `e + 2`; see `epic-smr`'s `epoch.rs` for the safety
 //! argument). Everything batch-vs-amortized is delegated to
 //! `SchemeCommon::dispose`, so flipping `FreeMode` turns this toy into
 //! `miniebr_af` with no extra code.
