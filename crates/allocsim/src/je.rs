@@ -17,9 +17,9 @@
 //!   to another thread's arena — with the lock held, which is where the
 //!   paper measures 39.8% of total time at 192 threads.
 
-use crate::block::{BlockHeader, FreeList, HEADER_SIZE};
+use crate::block::{span_bytes, BlockHeader, FreeList};
 use crate::chunks::{BumpCursor, ChunkStore};
-use crate::classes::{class_of, size_of_class, NUM_CLASSES};
+use crate::classes::{class_of, NUM_CLASSES};
 use crate::cost::CostModel;
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
 use crate::tcache::{ThreadCache, TidSlots, DEFAULT_TCACHE_CAP};
@@ -157,7 +157,7 @@ impl JeModel {
     /// one block. Called with the cache bin empty.
     fn refill(&self, tid: Tid, class: usize) -> &'static BlockHeader {
         let home = self.home_arena(tid);
-        let stride = HEADER_SIZE + size_of_class(class);
+        let stride = span_bytes(class);
         let counters = self.counters.get(tid);
         counters.refill();
 
@@ -265,7 +265,11 @@ impl PoolAllocator for JeModel {
         #[cfg(debug_assertions)]
         // SAFETY: the user area of a freed block is dead; poison it.
         unsafe {
-            std::ptr::write_bytes(ptr.as_ptr(), crate::block::POISON, size_of_class(class));
+            std::ptr::write_bytes(
+                ptr.as_ptr(),
+                crate::block::POISON,
+                crate::classes::size_of_class(class),
+            );
         }
 
         // SAFETY: tid-exclusivity per the PoolAllocator contract.

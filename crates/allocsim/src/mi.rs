@@ -11,9 +11,9 @@
 //! *same page*. This is why "MImalloc sidesteps the problem altogether"
 //! (§3.3, Table 3) and why amortized freeing does not help it.
 
-use crate::block::{BlockHeader, FreeList, HEADER_SIZE};
+use crate::block::{span_bytes, BlockHeader, FreeList};
 use crate::chunks::ChunkStore;
-use crate::classes::{class_of, size_of_class, NUM_CLASSES};
+use crate::classes::{class_of, NUM_CLASSES};
 use crate::cost::CostModel;
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
 use crate::tcache::TidSlots;
@@ -176,7 +176,7 @@ impl MiModel {
             }
         }
         // Bump within the page region.
-        let stride = HEADER_SIZE + size_of_class(class);
+        let stride = span_bytes(class);
         // SAFETY: owner-only.
         let bump = unsafe { &mut *page.bump.get() };
         if bump.1 - bump.0 >= stride {
@@ -259,7 +259,7 @@ impl PoolAllocator for MiModel {
             std::ptr::write_bytes(
                 ptr.as_ptr(),
                 crate::block::POISON,
-                size_of_class(hdr.class as usize),
+                crate::classes::size_of_class(hdr.class as usize),
             );
         }
 
@@ -306,6 +306,7 @@ impl PoolAllocator for MiModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::HEADER_SIZE;
     use std::sync::Arc;
 
     #[test]

@@ -6,8 +6,8 @@
 //! header layout so `dealloc` can recover the layout, and counts live bytes
 //! for peak-memory reporting.
 
-use crate::block::{BlockHeader, HEADER_SIZE};
-use crate::classes::{class_of, size_of_class};
+use crate::block::{span_bytes, BlockHeader, HEADER_SIZE};
+use crate::classes::class_of;
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
 use crate::{PoolAllocator, Tid};
 
@@ -33,7 +33,7 @@ impl SysModel {
     }
 
     fn layout_for(class: usize) -> Layout {
-        Layout::from_size_align(HEADER_SIZE + size_of_class(class), 16).expect("block layout")
+        Layout::from_size_align(span_bytes(class), 16).expect("block layout")
     }
 }
 
@@ -72,7 +72,11 @@ impl PoolAllocator for SysModel {
         #[cfg(debug_assertions)]
         // SAFETY: freed user area is dead.
         unsafe {
-            std::ptr::write_bytes(ptr.as_ptr(), crate::block::POISON, size_of_class(class));
+            std::ptr::write_bytes(
+                ptr.as_ptr(),
+                crate::block::POISON,
+                crate::classes::size_of_class(class),
+            );
         }
         let layout = Self::layout_for(class);
         self.live_bytes.fetch_sub(layout.size(), Ordering::Relaxed);

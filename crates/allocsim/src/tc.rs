@@ -9,9 +9,9 @@
 //! every flushing thread serializes on the same per-class lock, which is why
 //! the TC numbers in Table 3 are even worse than JE.
 
-use crate::block::{BlockHeader, FreeList, HEADER_SIZE};
+use crate::block::{span_bytes, BlockHeader, FreeList};
 use crate::chunks::{BumpCursor, ChunkStore};
-use crate::classes::{class_of, size_of_class, NUM_CLASSES};
+use crate::classes::{class_of, NUM_CLASSES};
 use crate::cost::CostModel;
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
 use crate::tcache::{ThreadCache, TidSlots, DEFAULT_TCACHE_CAP};
@@ -85,7 +85,7 @@ impl TcModel {
     }
 
     fn refill(&self, tid: Tid, class: usize) -> &'static BlockHeader {
-        let stride = HEADER_SIZE + size_of_class(class);
+        let stride = span_bytes(class);
         let counters = self.counters.get(tid);
         counters.refill();
 
@@ -187,7 +187,11 @@ impl PoolAllocator for TcModel {
         #[cfg(debug_assertions)]
         // SAFETY: freed user area is dead.
         unsafe {
-            std::ptr::write_bytes(ptr.as_ptr(), crate::block::POISON, size_of_class(class));
+            std::ptr::write_bytes(
+                ptr.as_ptr(),
+                crate::block::POISON,
+                crate::classes::size_of_class(class),
+            );
         }
 
         // SAFETY: tid-exclusivity per the PoolAllocator contract.

@@ -194,14 +194,7 @@ impl RetiredList {
             // replaced enjoyed memory-level parallelism. One-ahead
             // prefetch restores the overlap: the successor's header line
             // is fetched while the caller frees this entry.
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `head` is a valid header address; prefetch has no
-            // memory effects.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    self.head as *const i8,
-                );
-            }
+            epic_alloc::block::prefetch_line(self.head);
         }
         self.len -= 1;
         Some(Retired {

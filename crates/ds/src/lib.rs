@@ -208,7 +208,10 @@ pub(crate) unsafe fn free_node_quiescent<T>(alloc: &Arc<dyn PoolAllocator>, node
 /// thread has passed a quiescent point; with four workers on two CPUs one
 /// preempted worker can stall that through all the scripted rounds
 /// (without the churn, QSBR freed nothing in about 1 of 40 runs, and RCU
-/// freed under 100 blocks in 3 of 40 runs beside a busy loop).
+/// freed under 100 blocks in 3 of 40 runs beside a busy loop). Each check
+/// that falls short yields the CPU: an optimised build spends the whole
+/// budget in about 10 ms, less than the scheduler takes to run a
+/// descheduled peer, which would otherwise keep pinning the epoch.
 #[cfg(test)]
 pub(crate) fn churn_until_freed(map: &dyn ConcurrentMap, h: &SmrHandle, want: u64) {
     let smr = map.smr();
@@ -216,8 +219,11 @@ pub(crate) fn churn_until_freed(map: &dyn ConcurrentMap, h: &SmrHandle, want: u6
         return;
     }
     for i in 0..100_000u64 {
-        if i % 64 == 0 && smr.stats().freed >= want {
-            return;
+        if i % 64 == 0 {
+            if smr.stats().freed >= want {
+                return;
+            }
+            std::thread::yield_now();
         }
         let key = 1_000 + 4 * (i % 8) + h.tid() as u64;
         map.insert(h, key, key);

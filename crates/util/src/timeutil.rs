@@ -17,8 +17,10 @@ fn origin() -> Instant {
 
 /// Nanoseconds elapsed since the process-wide clock origin.
 ///
-/// Costs one `clock_gettime` via vDSO (~20 ns on Linux). Call sites that
-/// need cheaper timing should sample (see `epic-alloc`'s sampled timers).
+/// Costs one `clock_gettime` via vDSO: ~50 ns on a 2-vCPU KVM Xeon with the
+/// `tsc` clocksource (the repo benchmark's `bench.clock_ns` reads 40–57 ns
+/// there). Call sites that need cheaper timing should sample (see
+/// `epic-alloc`'s sampled timers).
 #[inline]
 pub fn now_ns() -> u64 {
     origin().elapsed().as_nanos() as u64
