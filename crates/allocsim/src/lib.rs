@@ -29,8 +29,9 @@
 //! socket's arena costs a coherence miss (hundreds of ns). This container has
 //! 2 cores and 1 socket, so [`CostModel`] adds a calibrated busy-spin per
 //! *remote* object processed while the bin lock is held. Lock contention
-//! itself is real (parking_lot mutexes). See DESIGN.md §2 for the
-//! substitution argument.
+//! itself is real: the je and tc bins are ticket spin locks
+//! ([`SpinBin`](spinbin::SpinBin)), so waiters burn CPU as they do under
+//! jemalloc. See DESIGN.md §2 for the substitution argument.
 //!
 //! ## Safety
 //!

@@ -1,6 +1,6 @@
 //! Passthrough model: straight to the Rust global allocator.
 //!
-//! A baseline for microbenches and a sanity harness for the data-structure
+//! A baseline for the pool models and a sanity harness for the data-structure
 //! tests (it has no caches, so every SMR bug surfaces immediately under
 //! tools like ASan instead of being masked by pooling). Keeps the same
 //! header layout so `dealloc` can recover the layout, and counts live bytes

@@ -203,7 +203,7 @@ impl SchemeLocal {
 /// lifecycle calls (`stats`, `detach`, `quiesce_and_drain`) delegate to the
 /// underlying [`RawSmr`], which remains reachable through
 /// [`raw`](Smr::raw) as the escape hatch for scheme-driving code that
-/// manages tids itself (sweep construction, microbenches, custom schemes).
+/// manages tids itself (sweep construction, tests, custom schemes).
 #[derive(Clone)]
 pub struct Smr {
     raw: Arc<dyn RawSmr>,

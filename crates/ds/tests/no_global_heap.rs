@@ -130,8 +130,9 @@ fn steady_state_updates_never_touch_the_process_heap() {
     });
 }
 
-/// `microbench_handle`'s mixed regime: 90 % lookups / 10 % updates over a
-/// 64-key Harris–Michael list, the hop-heaviest client of `protect_load`.
+/// The handle protocol's read-mostly regime: 90 % lookups / 10 % updates
+/// over a 64-key Harris–Michael list, the hop-heaviest client of
+/// `protect_load`.
 #[test]
 fn hmlist_read_mostly_mix_never_touches_the_process_heap() {
     const KEYS: u64 = 64;
@@ -155,7 +156,7 @@ fn hmlist_read_mostly_mix_never_touches_the_process_heap() {
     });
 }
 
-/// `microbench_retire`'s steady regime: the raw retire pipeline with no
+/// The retire pipeline's steady regime: alloc, retire and reclaim with no
 /// data structure above it.
 #[test]
 fn raw_retire_churn_never_touches_the_process_heap() {
@@ -173,7 +174,7 @@ fn raw_retire_churn_never_touches_the_process_heap() {
     });
 }
 
-/// `microbench_retire`'s burst regime: a *fresh* scheme absorbs a batch
+/// The retire pipeline's burst regime: a *fresh* scheme absorbs a batch
 /// with its thresholds out of reach, then drains it — no warm-up, so
 /// construction must have sized everything the retire path will use.
 #[test]

@@ -128,10 +128,10 @@ impl WorkloadCfg {
             cost: CostModel::default_for_machine(),
             threads,
             millis: env_u64("EPIC_MILLIS", 200),
-            key_range: env_u64("EPIC_KEYRANGE", 16_384),
+            key_range: env_key_range(),
             prefill: true,
             bag_cap,
-            af_backlog_cap: env_usize("EPIC_AF_BACKLOG_CAP", bag_cap * 4),
+            af_backlog_cap: env_usize("EPIC_AF_BACKLOG_CAP", bag_cap.saturating_mul(4)),
             epoch_check_every: 100,
             token_check_every: 100,
             record_timeline: false,
@@ -280,6 +280,24 @@ pub(crate) fn env_trials() -> usize {
     }
 }
 
+/// The key ranges a workload accepts, from runbooks and `EPIC_KEYRANGE`
+/// alike: a runbook value outside it is a parse error, an env value warns
+/// and falls back.
+pub(crate) const KEY_RANGE: std::ops::RangeInclusive<u64> = 2..=1 << 32;
+
+/// `EPIC_KEYRANGE`, read here and nowhere else. A value outside
+/// [`KEY_RANGE`] (`0` would draw from an empty range) warns once and falls
+/// back to the default of 16 384, like `EPIC_TRIALS=0`.
+fn env_key_range() -> u64 {
+    match env_u64("EPIC_KEYRANGE", 16_384) {
+        k if KEY_RANGE.contains(&k) => k,
+        k => {
+            warn_malformed_env("EPIC_KEYRANGE", &k.to_string(), "u64 in [2, 2^32]");
+            16_384
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,15 +361,31 @@ mod tests {
 
     #[test]
     fn zero_trials_is_malformed_and_means_one() {
+        // Hostile values warn and fall back (or saturate); none may panic.
+        let read = |key: &str| match key {
+            "EPIC_TRIALS" => ExperimentScale::detect().trials as u64,
+            "EPIC_KEYRANGE" => env_key_range(),
+            _ => WorkloadCfg::new(TreeKind::Ab, SmrKind::Debra, 2).af_backlog_cap as u64,
+        };
         let _guard = crate::report::env_lock();
-        let outer = std::env::var_os("EPIC_TRIALS");
-        std::env::set_var("EPIC_TRIALS", "0");
-        let read = (env_trials(), ExperimentScale::detect().trials);
-        match outer {
-            Some(v) => std::env::set_var("EPIC_TRIALS", v),
-            None => std::env::remove_var("EPIC_TRIALS"),
+        for (key, raw, expected) in [
+            ("EPIC_TRIALS", "0", 1),
+            ("EPIC_KEYRANGE", "0", 16_384),
+            ("EPIC_KEYRANGE", "1", 16_384),
+            ("EPIC_BAG_CAP", "4611686018427387904", u64::MAX),
+        ] {
+            if key == "EPIC_BAG_CAP" && std::env::var_os("EPIC_AF_BACKLOG_CAP").is_some() {
+                continue; // an explicit backlog cap bypasses the product
+            }
+            let outer = std::env::var_os(key);
+            std::env::set_var(key, raw);
+            let got = std::panic::catch_unwind(|| read(key));
+            match outer {
+                Some(v) => std::env::set_var(key, v),
+                None => std::env::remove_var(key),
+            }
+            assert_eq!(got.ok(), Some(expected), "{key}={raw}");
         }
-        assert_eq!(read, (1, 1));
     }
 
     #[test]

@@ -13,9 +13,9 @@ use std::path::{Path, PathBuf};
 
 /// The artifact output directory: `EPIC_RESULTS` if set, else `results/`
 /// at the workspace root. Anchoring at the workspace (not the CWD)
-/// matters because cargo runs bench targets with the *package* directory
+/// matters because cargo runs test targets with the *package* directory
 /// as CWD — a relative default would scatter artifacts into
-/// `crates/bench/results/` while `epic-run` writes to the root.
+/// `crates/harness/results/` while `epic-run` writes to the root.
 pub fn results_dir() -> PathBuf {
     let path = match std::env::var("EPIC_RESULTS") {
         Ok(dir) => PathBuf::from(dir),

@@ -352,7 +352,7 @@ fn parse_scenario(
         None => None,
         Some(v) => {
             let k = u64_of(v, &what("key_range"))?;
-            if !(2..=1 << 32).contains(&k) {
+            if !crate::config::KEY_RANGE.contains(&k) {
                 return Err(format!(
                     "runbook: {} must be in [2, 2^32], got {k}",
                     what("key_range")

@@ -3,7 +3,9 @@
 //! row, and every row must correspond to a variable that is still read
 //! somewhere — adding a knob without documenting it (or documenting a knob
 //! that no longer exists) fails. DESIGN.md's experiment map: every builtin
-//! id must occur in it.
+//! id must occur in it. The workspace map: DESIGN.md §1's crate table and
+//! README's "Workspace map" name exactly the member directories of the
+//! root `Cargo.toml`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -83,19 +85,13 @@ fn readme_environment_reference_is_complete_and_current() {
     );
 
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
-    let table = readme
-        .split("## Environment reference")
-        .nth(1)
-        .expect("README must keep the '## Environment reference' section")
-        .split("\n## ")
-        .next()
-        .unwrap();
+    let table = section(&readme, "## Environment reference", "\n## ");
     let mut in_table = BTreeSet::new();
     for line in table.lines().filter(|l| l.starts_with("| `EPIC_")) {
         epic_tokens(line, &mut in_table);
         // Rows must link the owning module (a path into the tree).
         assert!(
-            line.contains("crates/") || line.contains("vendor/"),
+            line.contains("crates/"),
             "row must name its owning module: {line}"
         );
     }
@@ -124,4 +120,34 @@ fn design_md_names_every_builtin_experiment() {
         let named = design.contains(&format!("`{}`", e.id));
         assert!(named || e.origin != Origin::Builtin, "{} is missing", e.id);
     }
+}
+
+/// The text of `doc` between the first `start` and the next `end`.
+fn section<'a>(doc: &'a str, start: &str, end: &str) -> &'a str {
+    let (_, rest) = doc
+        .split_once(start)
+        .unwrap_or_else(|| panic!("{start:?} is missing"));
+    rest.split(end).next().unwrap()
+}
+
+/// The `crates/*` and `vendor/*` directories written out in `text`.
+fn member_dirs(text: &str) -> BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || "/_".contains(c)))
+        .map(|w| w.trim_end_matches('/'))
+        .filter(|w| w.len() > 7 && (w.starts_with("crates/") || w.starts_with("vendor/")))
+        .map(String::from)
+        .collect()
+}
+
+#[test]
+fn workspace_map_matches_the_manifest_members() {
+    let read = |f: &str| std::fs::read_to_string(repo_root().join(f)).expect(f);
+    let members = member_dirs(section(&read("Cargo.toml"), "\nmembers = [", "]"));
+    assert!(members.contains("crates/core"), "manifest scan is broken");
+    let design = read("DESIGN.md");
+    let crate_table = section(&design, "| crate | dir | role |", "\n\n");
+    assert_eq!(member_dirs(crate_table), members, "DESIGN.md §1");
+    let readme = read("README.md");
+    let map = section(&readme, "## Workspace map", "```\n\n");
+    assert_eq!(member_dirs(map), members, "README");
 }

@@ -107,7 +107,7 @@ fn origin_filter_splits_builtin_from_generated() {
         "runbook filter leaked builtins"
     );
     // The committed smoke runbook must generate at least 10 cells, all
-    // three scenario families represented (acceptance criterion).
+    // three scenario families represented.
     let cells: Vec<&str> = generated
         .lines()
         .filter_map(|l| l.split_whitespace().next())
