@@ -20,8 +20,9 @@ pub struct CostModel {
     /// free, *while holding the bin lock*. Models a cross-socket coherence
     /// miss (~100–400 ns on 4-socket Xeons).
     pub remote_penalty_ns: u64,
-    /// Busy-spin per object on the allocation refill path when the refill
-    /// batch came from a remote bin (much rarer; usually local).
+    /// Busy-spin per object moved into a thread cache on the allocation
+    /// refill path, charged for every refilled object while the depot lock
+    /// is held. Every preset sets it to 0.
     pub refill_penalty_ns: u64,
     /// Arenas per logical CPU for the jemalloc model (jemalloc default: 4).
     pub arenas_per_cpu: usize,

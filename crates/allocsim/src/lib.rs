@@ -1,22 +1,23 @@
 //! # epic-alloc
 //!
-//! A real concurrent pool allocator with three interchangeable *free-path
-//! models* reproducing the allocator designs the paper studies (§2, §3.2,
-//! Appendix B):
+//! A real concurrent pool allocator with free-path *models* reproducing the
+//! allocator designs the paper studies (§2, §3.2, Appendix B):
 //!
-//! * [`JeModel`] — jemalloc-style: bounded per-thread caches per size class;
-//!   overflow flushes ~3/4 of the bin, returning each object to its owning
-//!   **arena** (one of 4×ncpu) under that arena's mutex, scanning the whole
-//!   flush batch while holding the lock — the exact structure of
-//!   `je_tcache_bin_flush_small` whose cost Table 1 of the paper dissects.
-//! * [`TcModel`] — tcmalloc-style: per-thread caches backed by one **global
-//!   central free list per size class**, each under a mutex; flushes move
-//!   batches to the central list, so all threads flushing the same size class
-//!   serialize on one lock (worse than jemalloc, matching Table 3).
+//! * one **thread-cache** model behind [`AllocatorKind::Je`],
+//!   [`AllocatorKind::JeIncr`] and [`AllocatorKind::Tc`]: bounded
+//!   per-thread caches per size class whose overflow flushes ~3/4 of the
+//!   bin into a locked backing store, sweeping the whole flush batch per
+//!   lock, the structure of `je_tcache_bin_flush_small` whose cost Table 1
+//!   of the paper dissects. Its two backings differ only in where a
+//!   flushed block goes: jemalloc-style, to its owning **arena** (one of
+//!   4×ncpu); tcmalloc-style, to one **global central free list per size
+//!   class**, so all threads flushing the same size class serialize on one
+//!   lock (worse than jemalloc, matching Table 3);
 //! * [`MiModel`] — mimalloc-style: **per-page free lists**; a remote free is
 //!   a single CAS push onto the page's cross-thread list, so contention only
 //!   occurs when two threads free to the *same page* simultaneously — which
-//!   is why mimalloc sidesteps the RBF problem (Table 3).
+//!   is why mimalloc sidesteps the RBF problem (Table 3);
+//! * [`SysModel`] — passthrough to the Rust global allocator (baseline).
 //!
 //! All models share a [`ChunkStore`] substrate: memory is carved out of
 //! large chunks that are only unmapped when the allocator is dropped, and the
@@ -29,7 +30,7 @@
 //! socket's arena costs a coherence miss (hundreds of ns). This container has
 //! 2 cores and 1 socket, so [`CostModel`] adds a calibrated busy-spin per
 //! *remote* object processed while the bin lock is held. Lock contention
-//! itself is real: the je and tc bins are ticket spin locks
+//! itself is real: the thread-cache model's depots are ticket spin locks
 //! ([`SpinBin`](spinbin::SpinBin)), so waiters burn CPU as they do under
 //! jemalloc. See DESIGN.md §2 for the substitution argument.
 //!
@@ -44,30 +45,39 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod block;
+mod cached;
 pub mod chunks;
 pub mod classes;
 pub mod cost;
-pub mod je;
 pub mod mi;
 pub mod segpool;
 pub mod spinbin;
 pub mod stats;
 pub mod sync;
 pub mod sys;
-pub mod tc;
 pub mod tcache;
+
+// The thread-cache model's tests, grouped by backing: `je::tests` runs the
+// arenas (`je`, `je_incr`), `tc::tests` the central lists.
+#[cfg(test)]
+mod je {
+    mod tests;
+}
+#[cfg(test)]
+mod tc {
+    mod tests;
+}
 
 pub use block::BlockHeader;
 pub use chunks::ChunkStore;
 pub use classes::{class_of, size_of_class, NUM_CLASSES};
 pub use cost::{CostModel, MachinePreset};
-pub use je::JeModel;
 pub use mi::MiModel;
 pub use segpool::{Segment, SegmentPool};
 pub use stats::{AllocSnapshot, ThreadAllocStats};
 pub use sys::SysModel;
-pub use tc::TcModel;
 
+use cached::CachedModel;
 use std::ptr::NonNull;
 use std::sync::Arc;
 
@@ -78,8 +88,9 @@ pub type Tid = usize;
 /// The allocator interface the data structures and SMR schemes program
 /// against.
 ///
-/// Implementations are [`JeModel`], [`TcModel`], [`MiModel`] and the
-/// passthrough [`SysModel`]. All methods take the caller's [`Tid`]; per-thread
+/// Implementations are the thread-cache model behind `je`, `je_incr` and
+/// `tc` (built by [`build_allocator`]), [`MiModel`] and the passthrough
+/// [`SysModel`]. All methods take the caller's [`Tid`]; per-thread
 /// fast paths are keyed by it, and **a given tid must only ever be used from
 /// one thread at a time**.
 pub trait PoolAllocator: Send + Sync {
@@ -172,31 +183,26 @@ pub fn build_allocator(
 }
 
 /// Like [`build_allocator`] but with an explicit thread-cache capacity for
-/// the Je/Tc models (`None` = their defaults). The `ablation_tcache_cap`
-/// bench sweeps this.
+/// `je`, `je_incr` and `tc` (`None` =
+/// [`DEFAULT_TCACHE_CAP`](tcache::DEFAULT_TCACHE_CAP)); `mi` and `sys`
+/// ignore it. The `ablation_tcache_cap` bench sweeps this.
 pub fn build_allocator_with(
     kind: AllocatorKind,
     max_threads: usize,
     cost: CostModel,
     tcache_cap: Option<usize>,
 ) -> Arc<dyn PoolAllocator> {
-    match (kind, tcache_cap) {
-        (AllocatorKind::Je, Some(cap)) => {
-            Arc::new(JeModel::with_tcache_cap(max_threads, cost, cap))
+    match kind {
+        AllocatorKind::Je | AllocatorKind::JeIncr | AllocatorKind::Tc => {
+            Arc::new(CachedModel::new(
+                kind,
+                max_threads,
+                cost,
+                tcache_cap.unwrap_or(tcache::DEFAULT_TCACHE_CAP),
+            ))
         }
-        (AllocatorKind::Je, None) => Arc::new(JeModel::new(max_threads, cost)),
-        (AllocatorKind::JeIncr, cap) => Arc::new(JeModel::with_flush_quantum(
-            max_threads,
-            cost,
-            cap.unwrap_or(crate::tcache::DEFAULT_TCACHE_CAP),
-            JE_INCR_QUANTUM,
-        )),
-        (AllocatorKind::Tc, Some(cap)) => {
-            Arc::new(TcModel::with_tcache_cap(max_threads, cost, cap))
-        }
-        (AllocatorKind::Tc, None) => Arc::new(TcModel::new(max_threads, cost)),
-        (AllocatorKind::Mi, _) => Arc::new(MiModel::new(max_threads, cost)),
-        (AllocatorKind::Sys, _) => Arc::new(SysModel::new(max_threads)),
+        AllocatorKind::Mi => Arc::new(MiModel::new(max_threads)),
+        AllocatorKind::Sys => Arc::new(SysModel::new(max_threads)),
     }
 }
 

@@ -14,12 +14,10 @@
 use crate::block::{span_bytes, BlockHeader, FreeList};
 use crate::chunks::ChunkStore;
 use crate::classes::{class_of, NUM_CLASSES};
-use crate::cost::CostModel;
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
-use crate::tcache::TidSlots;
 use crate::{PoolAllocator, Tid};
 
-use epic_util::Backoff;
+use epic_util::{Backoff, TidSlots};
 use std::cell::UnsafeCell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -104,13 +102,11 @@ pub struct MiModel {
     page_count: AtomicUsize,
     threads: TidSlots<MiThread>,
     counters: PerThread,
-    #[allow(dead_code)]
-    cost: CostModel,
 }
 
 impl MiModel {
     /// Builds the model.
-    pub fn new(max_threads: usize, cost: CostModel) -> Self {
+    pub fn new(max_threads: usize) -> Self {
         let pages = (0..MAX_PAGES)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect::<Vec<_>>();
@@ -125,7 +121,6 @@ impl MiModel {
                 }),
             }),
             counters: PerThread::new(max_threads),
-            cost,
         }
     }
 
@@ -142,8 +137,8 @@ impl MiModel {
         unsafe { &*p }
     }
 
-    /// Creates a fresh page for (tid, class) and registers it.
-    fn new_page(&self, tid: Tid, class: usize) -> u32 {
+    /// Creates a fresh page owned by `tid` and registers it.
+    fn new_page(&self, tid: Tid) -> u32 {
         let region = self.store.grab_sized(PAGE_BYTES) as usize;
         let id = self.page_count.fetch_add(1, Ordering::Relaxed);
         assert!(id < MAX_PAGES, "page registry exhausted");
@@ -153,7 +148,6 @@ impl MiModel {
             thread_free: AtomicUsize::new(0),
             bump: UnsafeCell::new((region, region + PAGE_BYTES)),
         });
-        let _ = class;
         self.pages[id].store(Box::into_raw(page), Ordering::Release);
         id as u32
     }
@@ -233,7 +227,7 @@ impl PoolAllocator for MiModel {
             }
             // All owned pages exhausted: make a new one.
             counters.refill();
-            let id = self.new_page(tid, class);
+            let id = self.new_page(tid);
             bin.pages.push(id);
             bin.current = bin.pages.len() - 1;
             // SAFETY: we own the fresh page.
@@ -311,7 +305,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_local_reuse() {
-        let m = MiModel::new(1, CostModel::zero());
+        let m = MiModel::new(1);
         let p = m.alloc(0, 64);
         m.dealloc(0, p);
         let q = m.alloc(0, 64);
@@ -321,7 +315,7 @@ mod tests {
 
     #[test]
     fn page_exhaustion_creates_new_page() {
-        let m = MiModel::new(1, CostModel::zero());
+        let m = MiModel::new(1);
         let per_page = PAGE_BYTES / (HEADER_SIZE + 64);
         let live: Vec<_> = (0..per_page + 1).map(|_| m.alloc(0, 64)).collect();
         assert_eq!(m.page_count(), 2, "overflow should open a second page");
@@ -332,7 +326,7 @@ mod tests {
 
     #[test]
     fn remote_free_lands_on_cross_thread_list_and_is_collected() {
-        let m = Arc::new(MiModel::new(2, CostModel::zero()));
+        let m = Arc::new(MiModel::new(2));
         // tid 0 allocates every block in its first page.
         let per_page = PAGE_BYTES / (HEADER_SIZE + 64);
         let ptrs: Vec<usize> = (0..per_page)
@@ -360,7 +354,7 @@ mod tests {
 
     #[test]
     fn concurrent_remote_frees_to_same_page_are_safe() {
-        let m = Arc::new(MiModel::new(5, CostModel::zero()));
+        let m = Arc::new(MiModel::new(5));
         let per_page = PAGE_BYTES / (HEADER_SIZE + 64);
         let n = per_page.min(400);
         let ptrs: Vec<usize> = (0..n * 4)
@@ -396,7 +390,7 @@ mod tests {
 
     #[test]
     fn distinct_classes_use_distinct_pages() {
-        let m = MiModel::new(1, CostModel::zero());
+        let m = MiModel::new(1);
         let a = m.alloc(0, 64);
         let b = m.alloc(0, 256);
         // SAFETY: blocks came from alloc above.

@@ -76,37 +76,22 @@ impl ThreadCache {
         self.bins[class].len()
     }
 
-    /// True if every bin is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bins.iter().all(|b| b.is_empty())
-    }
-
-    /// Drains the oldest `FLUSH_NUM/FLUSH_DEN` of the bin into `out`
-    /// (jemalloc's flush shape: keep the newest quarter).
-    pub fn drain_flush(&mut self, class: usize, out: &mut Vec<&'static BlockHeader>) {
+    /// Drains the oldest blocks of the bin into `out`: `quantum` of them,
+    /// the *gradual* flush of the incremental jemalloc variant (`je_incr`:
+    /// tiny critical sections instead of one long sweep), or by default
+    /// `FLUSH_NUM/FLUSH_DEN` of the bin (jemalloc's flush shape: keep the
+    /// newest quarter).
+    pub fn drain_n(
+        &mut self,
+        class: usize,
+        quantum: Option<usize>,
+        out: &mut Vec<&'static BlockHeader>,
+    ) {
         let bin = &mut self.bins[class];
-        let flush_n = bin.len() * FLUSH_NUM / FLUSH_DEN;
-        out.extend(bin.drain(..flush_n));
-    }
-
-    /// Drains only the oldest `n` blocks into `out` — the *gradual* flush
-    /// of the incremental jemalloc variant ([`crate::JeModel`] with a
-    /// flush quantum): tiny critical sections instead of one long sweep.
-    pub fn drain_n(&mut self, class: usize, n: usize, out: &mut Vec<&'static BlockHeader>) {
-        let bin = &mut self.bins[class];
-        let flush_n = n.min(bin.len());
-        out.extend(bin.drain(..flush_n));
-    }
-
-    /// Drains *everything* from every bin (trial teardown).
-    pub fn drain_all(&mut self, out: &mut Vec<&'static BlockHeader>) {
-        for bin in &mut self.bins {
-            out.extend(bin.drain(..));
-        }
+        let flush_n = quantum.unwrap_or(bin.len() * FLUSH_NUM / FLUSH_DEN);
+        out.extend(bin.drain(..flush_n.min(bin.len())));
     }
 }
-
-pub use epic_util::tidslots::TidSlots;
 
 #[cfg(test)]
 mod tests {
@@ -156,7 +141,7 @@ mod tests {
             tc.push(0, header(i));
         }
         let mut out = Vec::new();
-        tc.drain_flush(0, &mut out);
+        tc.drain_n(0, None, &mut out);
         assert_eq!(out.len(), 6, "3/4 of 8");
         let owners: Vec<u32> = out.iter().map(|h| h.owner).collect();
         assert_eq!(owners, vec![0, 1, 2, 3, 4, 5], "oldest first");
@@ -172,37 +157,14 @@ mod tests {
             tc.push(0, header(i));
         }
         let mut out = Vec::new();
-        tc.drain_n(0, 3, &mut out);
+        tc.drain_n(0, Some(3), &mut out);
         let owners: Vec<u32> = out.iter().map(|h| h.owner).collect();
         assert_eq!(owners, vec![0, 1, 2], "oldest first, exactly n");
         assert_eq!(tc.len(0), 5);
         // Asking for more than available drains what exists.
         out.clear();
-        tc.drain_n(0, 100, &mut out);
+        tc.drain_n(0, Some(100), &mut out);
         assert_eq!(out.len(), 5);
         assert_eq!(tc.len(0), 0);
-    }
-
-    #[test]
-    fn drain_all_empties() {
-        let mut tc = ThreadCache::new(8);
-        tc.push(0, header(0));
-        tc.push(3, header(1));
-        let mut out = Vec::new();
-        tc.drain_all(&mut out);
-        assert_eq!(out.len(), 2);
-        assert!(tc.is_empty());
-    }
-
-    #[test]
-    fn tid_slots_isolated() {
-        let slots: TidSlots<u64> = TidSlots::new_with(4, |i| i as u64 * 10);
-        // SAFETY: single-threaded test; each tid touched once.
-        unsafe {
-            *slots.get_mut(2) += 1;
-            assert_eq!(*slots.get_mut(2), 21);
-            assert_eq!(*slots.get_mut(0), 0);
-        }
-        assert_eq!(slots.len(), 4);
     }
 }
