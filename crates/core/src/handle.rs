@@ -810,9 +810,10 @@ mod tests {
         // hp: the hazard slot must hold the tag-stripped pointer after a
         // protected hop, and a moved link must be re-read to stability.
         let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
-        let raw = Arc::new(crate::schemes::hp::HpSmr::new(
+        let raw = Arc::new(crate::schemes::hazard::HazardSmr::new(
             Arc::clone(&alloc),
             SmrConfig::new(1),
+            SmrKind::Hp,
         ));
         let s = Smr::from_raw(Arc::clone(&raw) as Arc<dyn RawSmr>);
         let h = s.register(0);

@@ -14,7 +14,8 @@
 //! * The **comparison field** of §5: DEBRA, QSBR, RCU/EBR, hazard pointers,
 //!   hazard eras, interval-based reclamation (2GE), NBR and NBR+
 //!   (cooperative neutralization — see DESIGN.md for the signal
-//!   substitution), a simplified WFE, and a leaky `none` baseline.
+//!   substitution), a simplified WFE, and a leaky `none` baseline, in
+//!   five modules ([`schemes`]), one per [`build_raw_smr`] arm.
 //!
 //! ## Using a scheme from a data structure
 //!
@@ -222,8 +223,8 @@ pub enum SmrKind {
 
 impl SmrKind {
     /// Every scheme the factory knows, leaky baseline included, in
-    /// [`build_smr`]'s match order. Sweeps and exhaustiveness tests should
-    /// iterate this instead of hand-maintaining their own 13-kind lists.
+    /// declaration order. Sweeps and exhaustiveness tests should iterate
+    /// this instead of hand-maintaining their own 13-kind lists.
     pub const ALL: [SmrKind; 13] = [
         SmrKind::None,
         SmrKind::Qsbr,
@@ -309,27 +310,15 @@ pub fn build_raw_smr(
         SmrKind::Qsbr | SmrKind::Rcu | SmrKind::Debra => {
             Arc::new(schemes::epoch::EpochSmr::new(alloc, cfg, kind))
         }
-        SmrKind::TokenNaive => Arc::new(schemes::token::TokenSmr::new(
-            alloc,
-            cfg,
-            schemes::token::TokenVariant::Naive,
-        )),
-        SmrKind::TokenPassFirst => Arc::new(schemes::token::TokenSmr::new(
-            alloc,
-            cfg,
-            schemes::token::TokenVariant::PassFirst,
-        )),
-        SmrKind::TokenPeriodic => Arc::new(schemes::token::TokenSmr::new(
-            alloc,
-            cfg,
-            schemes::token::TokenVariant::Periodic,
-        )),
-        SmrKind::Hp => Arc::new(schemes::hp::HpSmr::new(alloc, cfg)),
+        SmrKind::TokenNaive | SmrKind::TokenPassFirst | SmrKind::TokenPeriodic => {
+            Arc::new(schemes::token::TokenSmr::new(alloc, cfg, kind))
+        }
         SmrKind::He | SmrKind::Wfe | SmrKind::Ibr => {
             Arc::new(schemes::era::EraSmr::new(alloc, cfg, kind))
         }
-        SmrKind::Nbr => Arc::new(schemes::nbr::NbrSmr::new(alloc, cfg, false)),
-        SmrKind::NbrPlus => Arc::new(schemes::nbr::NbrSmr::new(alloc, cfg, true)),
+        SmrKind::Hp | SmrKind::Nbr | SmrKind::NbrPlus => {
+            Arc::new(schemes::hazard::HazardSmr::new(alloc, cfg, kind))
+        }
     }
 }
 

@@ -7,20 +7,21 @@
 //! begun — and therefore finished — an operation, so nothing unlinked
 //! before the circulation can still be referenced).
 //!
-//! The three variants trace the paper's §4 progression:
+//! The three kinds trace the paper's §4 progression:
 //!
-//! * [`TokenVariant::Naive`] — free the previous bag, swap, **then** pass
-//!   the token. Serializes all reclamation around the ring (Fig. 6's
-//!   "continuous curve") and piles up garbage.
-//! * [`TokenVariant::PassFirst`] — pass first, then free. Threads free
-//!   concurrently, but a long free delays the *next* token receipt
-//!   (Fig. 7).
-//! * [`TokenVariant::Periodic`] — pass first, then free, re-checking for
-//!   the token every `token_check_every` frees and forwarding it
-//!   immediately (Fig. 8). Forwarding is safe here because the freeing
-//!   thread is *between* data-structure operations: it holds no pointers.
+//! * [`SmrKind::TokenNaive`] (`token_naive`) — free the previous bag,
+//!   swap, **then** pass the token. Serializes all reclamation around the
+//!   ring (Fig. 6's "continuous curve") and piles up garbage.
+//! * [`SmrKind::TokenPassFirst`] (`token_passfirst`) — pass first, then
+//!   free. Threads free concurrently, but a long free delays the *next*
+//!   token receipt (Fig. 7).
+//! * [`SmrKind::TokenPeriodic`] (`token`) — pass first, then free,
+//!   re-checking for the token every `token_check_every` frees and
+//!   forwarding it immediately (Fig. 8). Forwarding is safe here because
+//!   the freeing thread is *between* data-structure operations: it holds
+//!   no pointers.
 //!
-//! `token_af` — the paper's headline algorithm — is `Periodic` with
+//! `token_af` — the paper's headline algorithm — is `token` with
 //! [`crate::FreeMode::Amortized`]: the previous bag moves to the freeable
 //! list in O(1) and is drained one object per operation (Fig. 9/10).
 
@@ -36,18 +37,6 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which §4 algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenVariant {
-    /// Free, swap, then pass (§4.1).
-    Naive,
-    /// Pass, then free and swap.
-    PassFirst,
-    /// Pass, then free with periodic token checks (every
-    /// `token_check_every` frees).
-    Periodic,
-}
-
 struct TokenThread {
     current: RetiredList,
     previous: RetiredList,
@@ -55,10 +44,11 @@ struct TokenThread {
     epochs_entered: u64,
 }
 
-/// Token-EBR. See module docs.
+/// `token_naive`, `token_passfirst` or `token`, chosen by `kind`. See
+/// module docs.
 pub struct TokenSmr {
     common: SchemeCommon,
-    variant: TokenVariant,
+    kind: SmrKind,
     /// `tokens[i]` counts tokens delivered to thread `i`; a thread holds
     /// the token while `tokens[tid] > consumed`.
     tokens: Box<[CachePadded<AtomicU64>]>,
@@ -68,21 +58,21 @@ pub struct TokenSmr {
 }
 
 impl TokenSmr {
-    /// Builds the scheme; thread 0 starts with the token.
-    pub fn new(alloc: Arc<dyn PoolAllocator>, cfg: SmrConfig, variant: TokenVariant) -> Self {
+    /// Builds the token scheme `kind`, thread 0 holding the token; panics
+    /// unless it is `TokenNaive`, `TokenPassFirst` or `TokenPeriodic`.
+    pub fn new(alloc: Arc<dyn PoolAllocator>, cfg: SmrConfig, kind: SmrKind) -> Self {
+        assert!(
+            kind.base_name().starts_with("token"),
+            "{kind:?} is not a token scheme"
+        );
         let n = cfg.max_threads;
         let tokens: Box<[CachePadded<AtomicU64>]> = (0..n)
             .map(|i| CachePadded::new(AtomicU64::new(u64::from(i == 0))))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let base = match variant {
-            TokenVariant::Naive => "token_naive",
-            TokenVariant::PassFirst => "token_passfirst",
-            TokenVariant::Periodic => "token",
-        };
         TokenSmr {
-            common: SchemeCommon::new(base, alloc, cfg),
-            variant,
+            common: SchemeCommon::new(kind.base_name(), alloc, cfg),
+            kind,
             tokens,
             detached: (0..n)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
@@ -95,11 +85,6 @@ impl TokenSmr {
                 epochs_entered: 0,
             }),
         }
-    }
-
-    /// The configured variant.
-    pub fn variant(&self) -> TokenVariant {
-        self.variant
     }
 
     /// Passes the token to the next live thread in the ring; a token is
@@ -128,7 +113,7 @@ impl TokenSmr {
         self.tokens[tid].load(Ordering::Acquire) > consumed
     }
 
-    /// Processes one token receipt according to the variant.
+    /// Processes one token receipt according to the kind.
     fn on_token(&self, tid: Tid, state: &mut TokenThread) {
         state.consumed += 1;
         state.epochs_entered += 1;
@@ -142,20 +127,21 @@ impl TokenSmr {
             self.common.record_epoch_advance(tid, state.epochs_entered);
         }
 
-        match self.variant {
-            TokenVariant::Naive => {
+        match self.kind {
+            SmrKind::TokenNaive => {
                 // Free previous bag COMPLETELY, swap, then pass: the next
                 // thread cannot reclaim until we finish (garbage pile-up).
                 self.common.dispose(tid, &mut state.previous);
                 std::mem::swap(&mut state.current, &mut state.previous);
                 self.pass(tid);
             }
-            TokenVariant::PassFirst => {
+            SmrKind::TokenPassFirst => {
                 self.pass(tid);
                 self.common.dispose(tid, &mut state.previous);
                 std::mem::swap(&mut state.current, &mut state.previous);
             }
-            TokenVariant::Periodic => {
+            _ => {
+                // `token`.
                 self.pass(tid);
                 match self.common.cfg.mode {
                     FreeMode::Amortized { .. } | FreeMode::Background | FreeMode::Pooled => {
@@ -173,7 +159,7 @@ impl TokenSmr {
         }
     }
 
-    /// Periodic-variant batch free: free the previous bag one object at a
+    /// `token`'s batch free: free the previous bag one object at a
     /// time, checking for (and forwarding) the token every
     /// `token_check_every` frees. The forwarded receipts still count as
     /// epochs entered, but bag swapping for them is deferred — we are
@@ -265,11 +251,7 @@ impl RawSmr for TokenSmr {
     }
 
     fn kind(&self) -> SmrKind {
-        match self.variant {
-            TokenVariant::Naive => SmrKind::TokenNaive,
-            TokenVariant::PassFirst => SmrKind::TokenPassFirst,
-            TokenVariant::Periodic => SmrKind::TokenPeriodic,
-        }
+        self.kind
     }
 }
 
@@ -278,14 +260,10 @@ mod tests {
     use super::*;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
-    fn setup(
-        n: usize,
-        variant: TokenVariant,
-        mode: FreeMode,
-    ) -> (Arc<dyn PoolAllocator>, Arc<TokenSmr>) {
+    fn setup(n: usize, kind: SmrKind, mode: FreeMode) -> (Arc<dyn PoolAllocator>, Arc<TokenSmr>) {
         let alloc = build_allocator(AllocatorKind::Sys, n, CostModel::zero());
         let cfg = SmrConfig::new(n).with_mode(mode);
-        let smr = Arc::new(TokenSmr::new(Arc::clone(&alloc), cfg, variant));
+        let smr = Arc::new(TokenSmr::new(Arc::clone(&alloc), cfg, kind));
         (alloc, smr)
     }
 
@@ -301,16 +279,16 @@ mod tests {
 
     #[test]
     fn names_follow_variant_and_mode() {
-        let (_, naive) = setup(1, TokenVariant::Naive, FreeMode::Batch);
+        let (_, naive) = setup(1, SmrKind::TokenNaive, FreeMode::Batch);
         assert_eq!(naive.name(), "token_naive");
-        let (_, af) = setup(1, TokenVariant::Periodic, FreeMode::amortized());
+        let (_, af) = setup(1, SmrKind::TokenPeriodic, FreeMode::amortized());
         assert_eq!(af.name(), "token_af");
         assert_eq!(af.kind(), SmrKind::TokenPeriodic);
     }
 
     #[test]
     fn single_thread_ring_cycles() {
-        let (alloc, smr) = setup(1, TokenVariant::Naive, FreeMode::Batch);
+        let (alloc, smr) = setup(1, SmrKind::TokenNaive, FreeMode::Batch);
         churn(&alloc, &smr, 0, 50);
         let s = smr.stats();
         // Every op receives the token back; previous bag of each epoch is
@@ -323,7 +301,7 @@ mod tests {
 
     #[test]
     fn token_requires_all_threads_to_participate() {
-        let (alloc, smr) = setup(2, TokenVariant::PassFirst, FreeMode::Batch);
+        let (alloc, smr) = setup(2, SmrKind::TokenPassFirst, FreeMode::Batch);
         // Only thread 0 runs: it consumes its initial token, passes to
         // thread 1, and never sees it again.
         churn(&alloc, &smr, 0, 100);
@@ -345,7 +323,7 @@ mod tests {
         // Objects retired in the current epoch must survive until two token
         // receipts later. With a 1-thread ring we can count receipts
         // exactly: retire during op i is freed at op i+2.
-        let (alloc, smr) = setup(1, TokenVariant::Naive, FreeMode::Batch);
+        let (alloc, smr) = setup(1, SmrKind::TokenNaive, FreeMode::Batch);
         smr.begin_op(0); // receipt 1
         let p = alloc.alloc(0, 64);
         smr.retire(0, p);
@@ -361,13 +339,13 @@ mod tests {
 
     #[test]
     fn all_variants_reclaim_under_multithreaded_churn() {
-        for variant in [
-            TokenVariant::Naive,
-            TokenVariant::PassFirst,
-            TokenVariant::Periodic,
+        for kind in [
+            SmrKind::TokenNaive,
+            SmrKind::TokenPassFirst,
+            SmrKind::TokenPeriodic,
         ] {
             for mode in [FreeMode::Batch, FreeMode::amortized()] {
-                let (alloc, smr) = setup(4, variant, mode);
+                let (alloc, smr) = setup(4, kind, mode);
                 let handles: Vec<_> = (0..4)
                     .map(|tid| {
                         let smr = Arc::clone(&smr);
@@ -380,17 +358,17 @@ mod tests {
                 }
                 smr.quiesce_and_drain();
                 let s = smr.stats();
-                assert_eq!(s.retired, 12_000, "{variant:?} {mode:?}");
-                assert_eq!(s.freed, 12_000, "{variant:?} {mode:?}");
-                assert_eq!(s.garbage, 0, "{variant:?} {mode:?}");
-                assert!(s.epochs > 0, "{variant:?} {mode:?}: token should circulate");
+                assert_eq!(s.retired, 12_000, "{kind:?} {mode:?}");
+                assert_eq!(s.freed, 12_000, "{kind:?} {mode:?}");
+                assert_eq!(s.garbage, 0, "{kind:?} {mode:?}");
+                assert!(s.epochs > 0, "{kind:?} {mode:?}: token should circulate");
             }
         }
     }
 
     #[test]
     fn af_variant_keeps_garbage_bounded_under_churn() {
-        let (alloc, smr) = setup(2, TokenVariant::Periodic, FreeMode::Amortized { per_op: 2 });
+        let (alloc, smr) = setup(2, SmrKind::TokenPeriodic, FreeMode::Amortized { per_op: 2 });
         for round in 0..2_000 {
             for tid in 0..2 {
                 churn(&alloc, &smr, tid, 1);
