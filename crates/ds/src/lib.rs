@@ -7,8 +7,8 @@
 //!   copy-on-write leaves/internals. **Allocates 1–2 large (~240 B) nodes
 //!   per insert or delete** — the structure whose garbage volume exposes
 //!   the remote-batch-free problem.
-//! * [`OccTree`] — Bronson-style partially-external BST with optimistic
-//!   version validation. **Allocates one small (64 B) node per insert and
+//! * [`OccTree`] — Bronson-style partially-external BST with lock-free
+//!   reads and per-node write locks. **Allocates one small (64 B) node per insert and
 //!   nothing per delete** (two-child deletes leave a routing node) — the
 //!   structure that keeps scaling in Fig. 1.
 //! * [`DgtTree`] — the David–Guerraoui–Trigonakis external BST with

@@ -1,7 +1,7 @@
 //! Bronson-style optimistic-concurrency BST (`OccTree`).
 //!
-//! A simplified partially-external BST with per-node optimistic version
-//! locks, preserving the benchmark-relevant characteristics of Bronson et
+//! A simplified partially-external BST with lock-free reads and per-node
+//! write locks, preserving the benchmark-relevant characteristics of Bronson et
 //! al.'s AVL tree (the paper's "OCCtree", Fig. 1):
 //!
 //! * **Allocation profile**: an insert allocates one small (64 B) node —
@@ -11,9 +11,12 @@
 //!   nodes with ≤ 1 child are physically unlinked (one retire). Routing
 //!   nodes encountered with ≤ 1 child are unlinked opportunistically
 //!   during updates.
-//! * **Optimistic traversal**: readers validate per-node versions
-//!   ([`epic_util::SeqLock`]) instead of locking, retrying from the root
-//!   on interference.
+//! * **Optimistic traversal**: readers descend lock-free, one
+//!   `protect_load` per hop, and restart from the root only when the SMR
+//!   scheme asks (or a validating scheme finds the parent marked). No
+//!   reader reads a version: an update takes the per-node
+//!   [`epic_util::SeqLock`] write lock and re-checks the `marked` flag
+//!   under it.
 //!
 //! Divergence from Bronson et al. (documented in DESIGN.md): no AVL
 //! rebalancing — uniform random workloads keep expected height

@@ -26,7 +26,7 @@
 //! single-experiment debugging is unchanged.
 
 use epic_harness::experiments::{
-    all_experiments, experiment_by_name, run_by_name, Experiment, ExperimentRun, Origin,
+    all_experiments, experiment_by_name, run_by_name, Experiment, ExperimentRun,
 };
 use epic_harness::oracle::{evaluate, render_verdict_table};
 use epic_harness::runner;
@@ -144,10 +144,7 @@ fn select(opts: &CheckOpts) -> Result<Vec<Experiment>, i32> {
         picked
     };
     if let Some(origin) = opts.origin.as_deref() {
-        selected.retain(|e| match &e.origin {
-            Origin::Builtin => origin == "builtin",
-            Origin::Runbook { .. } => origin == "runbook",
-        });
+        selected.retain(|e| matches!(e.run, ExperimentRun::Builtin(_)) == (origin == "builtin"));
     }
     Ok(selected)
 }
@@ -195,7 +192,7 @@ fn write_list(
             "  {:<width$}  cost {:>3}  {}",
             e.id,
             e.cost,
-            e.origin.label()
+            e.origin()
         )?;
     }
     Ok(())
@@ -217,7 +214,7 @@ fn registry_json(selected: &[Experiment]) -> String {
             "\n  {{\"id\": \"{}\", \"cost\": {}, \"origin\": \"{}\", \"provenance\": \"{}\"",
             e.id,
             e.cost,
-            e.origin.label(),
+            e.origin(),
             scenario::provenance_hash(e)
         ));
         if let ExperimentRun::Scenario(cell) = &e.run {
@@ -277,11 +274,10 @@ fn run_check(rest: &[&str]) -> i32 {
 /// per-assertion trace — the one in-process path behind serial `check`
 /// and the `--one` child mode.
 fn run_checked(e: &Experiment) -> ShapeRecord {
-    let oracle = e.oracle();
     let started = Instant::now();
     let result = e.execute();
     let duration_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = evaluate(&oracle, &result);
+    let report = evaluate(&e.oracle, &result);
     for o in &report.outcomes {
         let mark = if o.passed { "ok  " } else { "MISS" };
         println!("  [{mark}] ({}) {} — {}", o.tier.name(), o.label, o.detail);
@@ -373,7 +369,7 @@ fn run_replay(rest: &[&str]) -> i32 {
     println!(
         "replay: {} (origin {}, provenance {hash})",
         e.id,
-        e.origin.label()
+        e.origin()
     );
     let result = e.execute();
     let fresh = result.provenance.clone().unwrap_or_default();

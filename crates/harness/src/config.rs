@@ -265,6 +265,20 @@ impl ExperimentScale {
             trials: env_trials(),
         }
     }
+
+    /// Table 1's thread points: 1, mid and max, deduplicated.
+    pub fn table1_points(&self) -> Vec<usize> {
+        let mut points = vec![1, self.mid_threads, self.max_threads];
+        points.dedup();
+        points
+    }
+
+    /// The thread points of Figs. 18–29: 1, 2, mid and max, deduplicated.
+    pub fn timeline_points(&self) -> Vec<usize> {
+        let mut points = vec![1, 2, self.mid_threads, self.max_threads];
+        points.dedup();
+        points
+    }
 }
 
 /// `EPIC_TRIALS`, read here and nowhere else. `0` is as malformed as `x`

@@ -1,10 +1,11 @@
 //! The paper-shape oracle: executable assertions over [`ExperimentResult`]s.
 //!
-//! Every experiment ends with a free-text `paper shape: ...` print. This
-//! module turns those prose claims into machine-checkable assertions: a
-//! small DSL ([`Check`]) of shape predicates — ratios, orderings,
-//! monotone trends, crossover absence, distribution fractions — each with
-//! a noise tolerance and a [`Tier`]:
+//! Every registry row ([`crate::experiments::all_experiments`]) carries an
+//! [`Oracle`]: the paper-shape claim it reproduces, as one sentence and as
+//! machine-checkable assertions. The assertions are a small DSL
+//! ([`Check`]) of shape predicates — ratios, orderings, monotone trends,
+//! crossover absence, distribution fractions — each with a noise
+//! tolerance and a [`Tier`]:
 //!
 //! * **Strict** assertions are structural or robust at any scale (grid
 //!   completeness, by-construction inequalities). `epic-run check` exits
@@ -21,7 +22,6 @@
 //! [`evaluate`] widens the tolerance by it, so the same oracle adjusts to
 //! however noisy the box happens to be (DESIGN.md §6).
 
-use crate::config::ExperimentScale;
 use crate::report::{ExperimentResult, Table};
 
 /// How a failed assertion affects the overall verdict.
@@ -263,9 +263,9 @@ pub const SMOKE_MILLIS: u64 = 20;
 
 /// Scale-aware tiering: demotes `a` to advisory when the per-trial
 /// duration `millis` is within smoke range (`<= cutoff`), and leaves it
-/// strict at paper scale. Pure — `all_oracles` feeds it the environment
-/// so the same oracle catalog is a CI gate on full runs and merely a
-/// report on smoke runs.
+/// strict at paper scale. Pure — the registry feeds it the environment
+/// so the same oracles are a CI gate on full runs and merely a report on
+/// smoke runs.
 pub fn demote_at_millis(a: Assertion, cutoff: u64, millis: u64) -> Assertion {
     if millis <= cutoff {
         a.advisory()
@@ -274,32 +274,15 @@ pub fn demote_at_millis(a: Assertion, cutoff: u64, millis: u64) -> Assertion {
     }
 }
 
-/// One experiment's registered paper-shape claims.
+/// One experiment's paper-shape claim and the assertions encoding it —
+/// carried by its registry row
+/// ([`Experiment::oracle`](crate::experiments::Experiment::oracle)).
 #[derive(Debug, Clone)]
 pub struct Oracle {
-    /// The experiment id this oracle checks (matches the registry —
-    /// owned, because runbook-generated experiments synthesize their
-    /// oracles at run time).
-    pub experiment: String,
     /// The paper-shape sentence being encoded.
     pub claim: String,
     /// The assertions.
     pub assertions: Vec<Assertion>,
-}
-
-impl Oracle {
-    fn new(experiment: impl Into<String>, claim: impl Into<String>) -> Self {
-        Oracle {
-            experiment: experiment.into(),
-            claim: claim.into(),
-            assertions: Vec::new(),
-        }
-    }
-
-    fn check(mut self, a: Assertion) -> Self {
-        self.assertions.push(a);
-        self
-    }
 }
 
 /// The outcome of one assertion against one result.
@@ -535,760 +518,6 @@ fn eval_check(check: &Check, tol: f64, result: &ExperimentResult) -> (bool, Stri
     }
 }
 
-/// One registered oracle per experiment, in registry order: the builtin
-/// catalog, then the one synthesized for each runbook-generated cell.
-/// Every id in [`crate::experiments::all_experiments`] has exactly one
-/// entry here (enforced by `tests/cli_consistency.rs`). `check` itself
-/// asks each experiment for its
-/// [`oracle`](crate::experiments::Experiment::oracle).
-pub fn all_oracles() -> Vec<Oracle> {
-    let mut oracles = builtin_oracles();
-    let cells = crate::scenario::generated_experiments();
-    oracles.extend(cells.iter().map(crate::experiments::Experiment::oracle));
-    oracles
-}
-
-/// The builtin catalog, in registry order. Reads the scale knobs
-/// (`EPIC_THREADS`, `EPIC_MILLIS`) and nothing else — no runbook.
-pub(crate) fn builtin_oracles() -> Vec<Oracle> {
-    let scale = ExperimentScale::detect();
-    // Throughput-ratio claims (AF vs batch and friends) need steady-state
-    // trials; at smoke durations they are demoted to advisory (see
-    // [`demote_at_millis`]).
-    let millis = epic_util::topology::env_u64("EPIC_MILLIS", 200);
-    let sweep = scale.sweep.len() as f64;
-    let mut t1_points = vec![1, scale.mid_threads, scale.max_threads];
-    t1_points.dedup();
-    let t1_rows = t1_points.len() as f64;
-    // fig18_29 thread points (same dedup the experiment applies).
-    let mut g_points = vec![1, 2, scale.mid_threads, scale.max_threads];
-    g_points.dedup();
-
-    vec![
-        Oracle::new(
-            "fig1_scaling",
-            "ABtree+debra flattens while OCCtree keeps scaling; leaking closes the gap but \
-             explodes ABtree memory",
-        )
-        .check(at_least(
-            "full 4-config sweep grid",
-            "rows/fig1_scaling",
-            4.0 * sweep,
-        ))
-        .check(demote_at_millis(
-            ordering(
-                "leaking explodes ABtree memory",
-                "peak_mib/abtree/none/max_t",
-                "peak_mib/abtree/debra/max_t",
-            )
-            .tol(0.10),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            ordering(
-                "OCCtree outscales ABtree under debra at max threads",
-                "mops/occtree/debra/max_t",
-                "mops/abtree/debra/max_t",
-            )
-            .advisory(),
-        ),
-        Oracle::new(
-            "table1_je_overhead",
-            "%free/%flush/%lock rise steeply with threads while epoch count collapses",
-        )
-        .check(at_least(
-            "all thread points measured",
-            "rows/table1_je_overhead",
-            t1_rows,
-        ))
-        .check(
-            ordering(
-                "%free rises with threads",
-                "pct_free/max_t",
-                "pct_free/min_t",
-            )
-            .advisory()
-            .tol(0.10),
-        )
-        .check(monotone_rising("%lock rises with threads", "pct_lock_by_threads").advisory())
-        .check(
-            ordering("epoch count collapses", "epochs/min_t", "epochs/max_t")
-                .advisory()
-                .tol(0.25),
-        ),
-        Oracle::new(
-            "fig2_timeline_batch",
-            "reclamation events are disproportionately longer at the higher thread count",
-        )
-        .check(at_least(
-            "batch frees recorded at max threads",
-            "timeline/max/batchfree_count",
-            1.0,
-        ))
-        .check(
-            ordering(
-                "longer batch frees at higher thread count",
-                "timeline/max/batchfree_mean_ns",
-                "timeline/mid/batchfree_mean_ns",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "fig3_timeline_af",
-            "batch free shows many more high-latency free calls than amortized free",
-        )
-        .check(at_least(
-            "batch free-call latencies recorded",
-            "free_max_ns/batch",
-            1.0,
-        ))
-        .check(
-            ordering(
-                "more visible (≥0.1ms) free calls under batch",
-                "visible/batch",
-                "visible/amortized",
-            )
-            .advisory(),
-        )
-        .check(
-            ordering(
-                "longer worst-case free call under batch",
-                "free_max_ns/batch",
-                "free_max_ns/amortized",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "table2_af_counters",
-            "amortized frees MORE objects in LESS time; lock time collapses",
-        )
-        .check(at_least(
-            "both approaches measured",
-            "rows/table2_af_counters",
-            2.0,
-        ))
-        .check(demote_at_millis(
-            ratio_at_least(
-                "AF at least matches batch throughput",
-                "mops/af",
-                "mops/batch",
-                1.0,
-            )
-            .tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            // "Frees MORE objects": in short trials the snapshot freed
-            // count depends on where the alloc-coupled drain happens to
-            // sit vs the last batch spike — paper-scale claim, advisory.
-            ordering(
-                "AF frees at least as many objects",
-                "freed/af",
-                "freed/batch",
-            )
-            .advisory()
-            .tol(0.15),
-        )
-        .check(
-            ratio_at_least("AF ≥ 2x batch (paper: 2.6x)", "mops/af", "mops/batch", 2.0).advisory(),
-        )
-        .check(
-            ordering("%lock collapses under AF", "pct_lock/batch", "pct_lock/af")
-                .advisory()
-                .tol(0.25),
-        ),
-        Oracle::new(
-            "fig4_garbage",
-            "amortized freeing has far fewer peaks with only slightly higher mean garbage",
-        )
-        .check(at_least(
-            "batch garbage series sampled",
-            "garbage/batch/epochs",
-            1.0,
-        ))
-        .check(at_least(
-            "amortized garbage series sampled",
-            "garbage/amortized/epochs",
-            1.0,
-        ))
-        .check(
-            ordering(
-                "fewer garbage peaks under AF",
-                "garbage/batch/peaks",
-                "garbage/amortized/peaks",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "table3_allocators",
-            "AF speeds up JE (2.6x) and TC (3.25x) but NOT MI — per-page free lists sidestep \
-             the RBF problem",
-        )
-        .check(at_least(
-            "3 allocators x 2 modes",
-            "rows/table3_allocators",
-            6.0,
-        ))
-        .check(demote_at_millis(
-            at_least("AF does not hurt JE", "af_ratio/je", 1.0).tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(demote_at_millis(
-            at_least("AF does not hurt TC", "af_ratio/tc", 1.0).tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(at_least("AF speeds up JE ≥ 2x (paper: 2.6x)", "af_ratio/je", 2.0).advisory())
-        .check(at_least("AF speeds up TC ≥ 2x (paper: 3.25x)", "af_ratio/tc", 2.0).advisory())
-        .check(demote_at_millis(
-            at_most("MI does not improve", "af_ratio/mi", 1.10).tol(0.10),
-            SMOKE_MILLIS,
-            millis,
-        )),
-        Oracle::new(
-            "fig5_6_naive_token",
-            "high apparent throughput but terrible reclamation: garbage pile-up, serialized frees",
-        )
-        .check(at_least(
-            "sweep perf table complete",
-            "rows/fig5_6_naive_token_perf",
-            sweep,
-        ))
-        .check(demote_at_millis(
-            at_least("garbage piles past one limbo bag", "peak_garbage", 4096.0).tol(0.25),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            ratio_at_least("retires outpace frees (pile-up)", "retired", "freed", 1.2).advisory(),
-        ),
-        Oracle::new(
-            "fig7_passfirst",
-            "concurrent freeing now, but batch lengths still grow over time",
-        )
-        .check(at_least("frees actually happen", "freed", 1.0))
-        .check(at_least(
-            "garbage series sampled",
-            "garbage/series/epochs",
-            1.0,
-        ))
-        .check(trend_rising("batch lengths grow over the run", "garbage/series").advisory()),
-        Oracle::new(
-            "fig8_periodic",
-            "lower peak memory than pass-first, but long free calls still stall the token",
-        )
-        .check(at_least("token circulates", "epochs", 1.0))
-        .check(at_least("frees actually happen", "freed", 1.0))
-        .check(
-            at_least(
-                "long frees visible in the timeline",
-                "timeline/timeline/batchfree_max_ns",
-                1.0,
-            )
-            .advisory(),
-        ),
-        Oracle::new(
-            "fig9_10_token_af",
-            "garbage pile-up gone, epoch count way up, best perf + memory of the variants",
-        )
-        .check(at_least(
-            "sweep perf table complete",
-            "rows/fig9_10_token_af_perf",
-            sweep,
-        ))
-        .check(demote_at_millis(
-            at_least("token circulates", "epochs", 1.0),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            ratio_at_least("reclamation keeps up (no pile-up)", "freed", "retired", 0.5).advisory(),
-        ),
-        Oracle::new(
-            "table4_token_variants",
-            "Naive frees almost nothing; Pass-first/Periodic free lots but slowly; Amortized \
-             frees the most AND is fastest",
-        )
-        .check(at_least(
-            "all four variants measured",
-            "rows/table4_token_variants",
-            4.0,
-        ))
-        .check(at_least("periodic reclaims", "freed/periodic", 1.0))
-        .check(at_least("amortized reclaims", "freed/amortized", 1.0))
-        .check(
-            // Token-circulation counts are wildly run-dependent in short
-            // trials; the paper-scale gap (218 vs 4 epochs) is advisory.
-            ordering(
-                "amortized circulates the token more than pass-first",
-                "epochs/amortized",
-                "epochs/passfirst",
-            )
-            .advisory()
-            .tol(0.25),
-        )
-        .check(
-            // Paper scale: naive's serialized freeing falls hopelessly
-            // behind. At smoke scale a 30 ms run frees comparably, so the
-            // magnitude claim is advisory.
-            ordering(
-                "amortized out-frees naive",
-                "freed/amortized",
-                "freed/naive",
-            )
-            .advisory()
-            .tol(0.15),
-        )
-        .check(
-            ordering(
-                "amortized faster than periodic",
-                "mops/amortized",
-                "mops/periodic",
-            )
-            .advisory()
-            .tol(0.10),
-        )
-        .check(
-            ordering("periodic out-frees naive", "freed/periodic", "freed/naive")
-                .advisory()
-                .tol(0.15),
-        ),
-        Oracle::new(
-            "fig11a_experiment1",
-            "token_af on top (~1.7x next best nbr+; 7-9x hp/he) and both AF schemes beat the \
-             leaky baseline",
-        )
-        .check(at_least(
-            "13-scheme sweep grid",
-            "rows/fig11a_experiment1",
-            13.0 * sweep,
-        ))
-        .check(demote_at_millis(
-            ordering("token_af beats hp", "mops/token_af/max_t", "mops/hp/max_t").tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            ratio_at_least(
-                "token_af ≥ 1.3x nbr+ (paper: 1.7x)",
-                "mops/token_af/max_t",
-                "mops/nbr+/max_t",
-                1.3,
-            )
-            .advisory(),
-        )
-        .check(
-            ratio_at_least(
-                "token_af ≥ 3x hp (paper: 7-9x)",
-                "mops/token_af/max_t",
-                "mops/hp/max_t",
-                3.0,
-            )
-            .advisory(),
-        )
-        .check(
-            ordering(
-                "token_af beats the leaky baseline",
-                "mops/token_af/max_t",
-                "mops/none/max_t",
-            )
-            .advisory()
-            .tol(0.10),
-        ),
-        Oracle::new(
-            "fig11b_experiment2",
-            "AF wins for 9/10 schemes (up to 2.3x); he does not improve; hp/wfe only ~1.2x",
-        )
-        .check(at_least(
-            "all ten schemes measured",
-            "rows/fig11b_experiment2",
-            10.0,
-        ))
-        .check(demote_at_millis(
-            fraction_below("AF wins for ≥ 9/10 schemes", "af_ratio_field", 1.0, 0.101).tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            at_most("he does not improve (≤ ~1.15x)", "af_ratio/he", 1.15)
-                .advisory()
-                .tol(0.10),
-        ),
-        Oracle::new(
-            "fig12_orig_vs_af_sweep",
-            "AF stays at or above ORIG across the whole thread sweep (ABtree)",
-        )
-        .check(at_least(
-            "10-scheme sweep grid",
-            "rows/fig12_orig_vs_af_sweep",
-            10.0 * sweep,
-        ))
-        .check(
-            crossover_absent(
-                "debra AF never crosses below ORIG",
-                "af_by_threads/debra",
-                "orig_by_threads/debra",
-            )
-            .advisory()
-            .tol(0.15),
-        ),
-        Oracle::new(
-            "fig13_dgt_orig_vs_af",
-            "the ABtree story replays on the DGT tree (2 frees per delete)",
-        )
-        .check(at_least(
-            "10-scheme sweep grid",
-            "rows/fig13_dgt_orig_vs_af",
-            10.0 * sweep,
-        ))
-        .check(
-            crossover_absent(
-                "debra AF never crosses below ORIG (DGT)",
-                "af_by_threads/debra",
-                "orig_by_threads/debra",
-            )
-            .advisory()
-            .tol(0.15),
-        ),
-        Oracle::new(
-            "fig14_dgt_experiment1",
-            "token_af tops the field on the DGT tree too",
-        )
-        .check(at_least(
-            "13-scheme sweep grid",
-            "rows/fig14_dgt_experiment1",
-            13.0 * sweep,
-        ))
-        .check(
-            ratio_at_least(
-                "token_af at least matches nbr+ (DGT)",
-                "mops/token_af/max_t",
-                "mops/nbr+/max_t",
-                1.0,
-            )
-            .advisory(),
-        ),
-        Oracle::new(
-            "fig15_16_machine_presets",
-            "the AF ranking is machine-independent; only magnitudes shift",
-        )
-        .check(at_least(
-            "3 presets x 4 configs",
-            "rows/fig15_16_machine_presets",
-            12.0,
-        ))
-        .check(
-            ordering(
-                "token_af tops debra batch on intel-4s-192t",
-                "mops/intel-4s-192t/token_af",
-                "mops/intel-4s-192t/debra",
-            )
-            .advisory()
-            .tol(0.10),
-        )
-        .check(
-            ordering(
-                "token_af tops debra batch on amd-2s-256t",
-                "mops/amd-2s-256t/token_af",
-                "mops/amd-2s-256t/debra",
-            )
-            .advisory()
-            .tol(0.10),
-        ),
-        Oracle::new(
-            "fig17_visible_frees",
-            "only a tiny fraction of free calls are visible (≥ 0.1 ms), and far fewer under AF",
-        )
-        .check(at_most(
-            "visible calls a tiny fraction (batch)",
-            "visible_frac/batch",
-            0.05,
-        ))
-        .check(
-            ordering(
-                "fewer visible calls under AF",
-                "visible/batch",
-                "visible/amortized",
-            )
-            .advisory(),
-        ),
-        Oracle::new(
-            "fig18_29_allocator_timelines",
-            "je/tc timelines fill with long batch frees as threads grow; mi stays clean",
-        )
-        .check(at_least(
-            "all thread points visited",
-            "thread_points",
-            g_points.len() as f64,
-        ))
-        .check(at_least("je sweep captured", "batchfree_ns/je/max_t", 0.0))
-        .check(at_least("tc sweep captured", "batchfree_ns/tc/max_t", 0.0))
-        .check(at_least("mi sweep captured", "batchfree_ns/mi/max_t", 0.0))
-        .check(
-            ordering(
-                "je batch-free time grows with threads",
-                "batchfree_ns/je/max_t",
-                "batchfree_ns/je/min_t",
-            )
-            .advisory(),
-        )
-        .check(
-            ordering(
-                "mi timeline cleaner than je at max threads",
-                "batchfree_ns/je/max_t",
-                "batchfree_ns/mi/max_t",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "ablation_af_drain_rate",
-            "k=1 lets DGT garbage grow (2 frees/delete needed); k≥2 bounds it",
-        )
-        .check(at_least(
-            "all four k values measured",
-            "rows/ablation_af_drain_rate",
-            4.0,
-        ))
-        .check(
-            ordering(
-                "k=1 leaves more garbage than k=2",
-                "final_garbage/k1",
-                "final_garbage/k2",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "ablation_tcache_cap",
-            "bigger caches absorb more of each batch -> fewer flushes",
-        )
-        .check(at_least(
-            "all cap points measured",
-            "rows/ablation_tcache_cap",
-            3.0,
-        ))
-        .check(demote_at_millis(
-            monotone_falling("flushes fall as cap grows", "flushes_by_cap").tol(0.15),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            ordering("small cap flushes most", "flushes/cap50", "flushes/cap800")
-                .advisory()
-                .tol(0.10),
-        ),
-        Oracle::new(
-            "ablation_arena_count",
-            "fewer arenas -> more flush collisions -> more lock waiting",
-        )
-        .check(at_least(
-            "all arena points measured",
-            "rows/ablation_arena_count",
-            3.0,
-        ))
-        .check(
-            monotone_falling("%lock falls as arenas multiply", "pct_lock_by_arenas")
-                .advisory()
-                .tol(0.25),
-        ),
-        Oracle::new(
-            "ablation_token_check_period",
-            "smaller check intervals keep the token moving through long frees",
-        )
-        .check(at_least(
-            "all interval points measured",
-            "rows/ablation_token_check_period",
-            3.0,
-        ))
-        .check(
-            monotone_falling(
-                "epoch count falls as the interval grows",
-                "epochs_by_period",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "ablation_bag_cap",
-            "bigger batches hurt ORIG more, widening the AF advantage",
-        )
-        .check(at_least(
-            "all bag caps measured",
-            "rows/ablation_bag_cap",
-            4.0,
-        ))
-        .check(
-            ordering(
-                "AF advantage wider at 32K bags than 512",
-                "af_ratio/cap32768",
-                "af_ratio/cap512",
-            )
-            .advisory()
-            .tol(0.15),
-        ),
-        Oracle::new(
-            "ablation_background_free",
-            "a background reclaimer still batch-frees (flushes/remote frees stay high); AF \
-             removes them",
-        )
-        .check(at_least(
-            "all three modes measured",
-            "rows/ablation_background_free",
-            3.0,
-        ))
-        .check(
-            ordering(
-                "background keeps flushing, AF does not",
-                "flushes/background",
-                "flushes/af",
-            )
-            .tol(0.25),
-        )
-        .check(
-            ordering(
-                "remote frees stay high under background",
-                "remote/background",
-                "remote/af",
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "ablation_stalled_thread",
-            "epoch/token schemes' garbage balloons while a stalled thread holds its announcement",
-        )
-        .check(at_least(
-            "all six schemes measured",
-            "rows/ablation_stalled_thread",
-            6.0,
-        ))
-        .check(
-            ratio_at_least(
-                "debra garbage balloons under the stall",
-                "stalled_peak_garbage/debra",
-                "clean_peak_garbage/debra",
-                1.0,
-            )
-            .advisory()
-            .tol(0.25),
-        ),
-        Oracle::new(
-            "ablation_update_ratio",
-            "the AF advantage shrinks as updates (and hence garbage) thin out",
-        )
-        .check(at_least(
-            "all update ratios measured",
-            "rows/ablation_update_ratio",
-            3.0,
-        ))
-        .check(demote_at_millis(
-            monotone_falling(
-                "%free falls as updates thin out",
-                "orig_pct_free_by_updates",
-            )
-            .tol(0.25),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            monotone_falling("AF advantage shrinks with updates", "af_ratio_by_updates")
-                .advisory()
-                .tol(0.15),
-        ),
-        Oracle::new(
-            "ablation_pooled",
-            "pooling sidesteps the allocator almost entirely; AF stays comparable while keeping \
-             the allocator in the loop",
-        )
-        .check(at_least(
-            "all three modes measured",
-            "rows/ablation_pooled",
-            3.0,
-        ))
-        .check(at_least(
-            "pooling actually recycles",
-            "pool_hits/pooled",
-            1.0,
-        ))
-        .check(demote_at_millis(
-            ordering(
-                "pooling slashes allocator traffic",
-                "allocs/batch",
-                "allocs/pooled",
-            )
-            .tol(0.25),
-            SMOKE_MILLIS,
-            millis,
-        ))
-        .check(
-            ratio_at_least(
-                "AF within 2x of pooled throughput",
-                "mops/af",
-                "mops/pooled",
-                0.5,
-            )
-            .advisory(),
-        ),
-        Oracle::new(
-            "ablation_allocator_fix",
-            "je_incr's tiny flush quanta shrink lock holds, recovering much of AF's benefit at \
-             the allocator layer",
-        )
-        .check(at_least(
-            "all three configs measured",
-            "rows/ablation_allocator_fix",
-            3.0,
-        ))
-        .check(
-            ordering(
-                "incremental flush shrinks the flush quantum",
-                "objs_per_flush/je_batch",
-                "objs_per_flush/je_incr_batch",
-            )
-            .tol(0.15),
-        )
-        .check(
-            ratio_at_least(
-                "je_incr recovers batch throughput",
-                "mops/je_incr_batch",
-                "mops/je_batch",
-                1.0,
-            )
-            .advisory(),
-        ),
-        Oracle::new(
-            "ablation_ds_generality",
-            "AF's advantage tracks garbage volume: biggest for the ABtree, smallest for the list",
-        )
-        .check(at_least(
-            "all four structures measured",
-            "rows/ablation_ds_generality",
-            4.0,
-        ))
-        .check(
-            ordering(
-                "ABtree gains at least the list's",
-                "af_ratio/abtree",
-                "af_ratio/hmlist",
-            )
-            .advisory()
-            .tol(0.15),
-        ),
-    ]
-}
-
-/// The oracle for one experiment id.
-pub fn oracle_for(id: &str) -> Option<Oracle> {
-    all_oracles().into_iter().find(|o| o.experiment == id)
-}
-
 /// Renders the verdict table `epic-run check` prints.
 pub fn render_verdict_table(reports: &[OracleReport]) -> String {
     let mut t = Table::new(
@@ -1343,7 +572,6 @@ mod tests {
 
     fn eval_one(a: Assertion, r: &ExperimentResult) -> AssertionOutcome {
         let oracle = Oracle {
-            experiment: "test".into(),
             claim: "".into(),
             assertions: vec![a],
         };
@@ -1470,7 +698,6 @@ mod tests {
         let r = result_with(&[("a", 1.0), ("b", 2.0)], &[]);
         // Strict pass + advisory fail → ADVISORY.
         let oracle = Oracle {
-            experiment: "test".into(),
             claim: "".into(),
             assertions: vec![
                 ordering("strict ok", "b", "a"),
@@ -1483,35 +710,9 @@ mod tests {
         assert_eq!(report.advisory_failures(), 1);
         // Strict fail → FAIL.
         let oracle = Oracle {
-            experiment: "test".into(),
             claim: "".into(),
             assertions: vec![ordering("strict bad", "a", "b")],
         };
         assert_eq!(evaluate(&oracle, &r).verdict(), "FAIL");
-    }
-
-    #[test]
-    fn every_experiment_has_exactly_one_oracle() {
-        let oracles = all_oracles();
-        let experiments = crate::experiments::all_experiments();
-        let experiment_ids: Vec<&str> = experiments.iter().map(|e| e.id.as_str()).collect();
-        let oracle_ids: Vec<&str> = oracles.iter().map(|o| o.experiment.as_str()).collect();
-        assert_eq!(
-            oracle_ids, experiment_ids,
-            "oracle registry must match the experiment registry exactly, in order"
-        );
-        for o in &oracles {
-            assert!(
-                !o.assertions.is_empty(),
-                "{} has no assertions",
-                o.experiment
-            );
-            assert!(
-                o.assertions.iter().any(|a| a.tier == Tier::Strict),
-                "{} has no strict assertion",
-                o.experiment
-            );
-            assert!(!o.claim.is_empty(), "{} has no claim", o.experiment);
-        }
     }
 }

@@ -117,7 +117,7 @@ fn crash_record(e: &Experiment, attempts: u32, reason: &str, log_path: &Path) ->
     ShapeRecord {
         report: OracleReport {
             experiment: e.id.clone(),
-            claim: e.oracle().claim,
+            claim: e.oracle.claim.clone(),
             outcomes: vec![AssertionOutcome {
                 label: "experiment process completed".to_string(),
                 tier: Tier::Strict,

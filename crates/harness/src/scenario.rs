@@ -30,7 +30,7 @@
 //! scenarios".
 
 use crate::config::{Arrival, KeyDist, WorkloadCfg};
-use crate::experiments::{Experiment, ExperimentRun, Origin};
+use crate::experiments::{Experiment, ExperimentRun};
 use crate::oracle::{at_least, Oracle};
 use crate::report::ExperimentResult;
 use crate::workload::{run_trial, run_trials};
@@ -251,17 +251,17 @@ impl Runbook {
     }
 
     /// The runbook's cells as registry entries (the bridge the
-    /// experiment registry appends).
+    /// experiment registry appends), each carrying the runbook's cell
+    /// oracle.
     pub fn experiments(&self) -> Vec<Experiment> {
+        let oracle = cell_oracle(&self.name);
         self.cells
             .iter()
             .map(|c| Experiment {
                 id: c.id.clone(),
                 run: ExperimentRun::Scenario(Box::new(c.clone())),
                 cost: CELL_COST,
-                origin: Origin::Runbook {
-                    runbook: self.name.clone(),
-                },
+                oracle: oracle.clone(),
             })
             .collect()
     }
@@ -628,12 +628,11 @@ pub fn generated_experiments() -> Vec<Experiment> {
     }
 }
 
-/// The oracle synthesized for cell `id` of `runbook`: strict completeness
+/// The oracle every cell of `runbook` carries: strict completeness
 /// checks (the trial ran, the determinism probe hit its exact budget)
 /// plus an advisory throughput floor.
-pub(crate) fn cell_oracle(id: &str, runbook: &str) -> Oracle {
+fn cell_oracle(runbook: &str) -> Oracle {
     Oracle {
-        experiment: id.to_string(),
         claim: format!(
             "runbook '{runbook}' cell completes its trials and its single-thread \
              determinism probe records replayable counters"
@@ -655,8 +654,7 @@ pub(crate) fn cell_oracle(id: &str, runbook: &str) -> Oracle {
 /// Runs one cell: `EPIC_TRIALS` timed trials at the cell's resolved
 /// thread count, then the single-thread determinism probe whose `det/*`
 /// counters are the replay contract.
-pub fn run_cell(cell: &Cell) -> ExperimentResult {
-    let mut out = ExperimentResult::new(&cell.id);
+pub fn run_cell(cell: &Cell, out: &mut ExperimentResult) {
     let threads = cell.threads.resolve();
     let summary = run_trials(&cell.workload(threads), crate::config::env_trials());
     out.metric("threads", threads as f64);
@@ -681,7 +679,6 @@ pub fn run_cell(cell: &Cell) -> ExperimentResult {
         det.smr.retired,
         det.alloc.totals.allocs,
     );
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -716,10 +713,9 @@ const PROV_ENV_DENYLIST: &[&str] = &["EPIC_RESULTS", "EPIC_RUNBOOK"];
 /// field list). Exposed so tests and docs can show exactly what is
 /// hashed.
 pub fn provenance_preimage(e: &Experiment) -> String {
-    let (kind, runbook_fnv, seed) = match &e.run {
-        ExperimentRun::Builtin(_) => ("builtin".to_string(), "-".to_string(), "-".to_string()),
+    let (runbook_fnv, seed) = match &e.run {
+        ExperimentRun::Builtin(_) => ("-".to_string(), "-".to_string()),
         ExperimentRun::Scenario(cell) => (
-            format!("runbook:{}", cell.runbook),
             format!("{:016x}", cell.source_fnv),
             format!("{}", cell.seed),
         ),
@@ -738,9 +734,10 @@ pub fn provenance_preimage(e: &Experiment) -> String {
         .collect::<Vec<_>>()
         .join(";");
     format!(
-        "epic-prov-v1\nid={}\nkind={kind}\nrunbook_fnv={runbook_fnv}\nseed={seed}\n\
+        "epic-prov-v1\nid={}\nkind={}\nrunbook_fnv={runbook_fnv}\nseed={seed}\n\
          toolchain={};pkg={}\ngit={}\nenv={env_line}\n",
         e.id,
+        e.origin(),
         option_env!("RUSTUP_TOOLCHAIN").unwrap_or("-"),
         env!("CARGO_PKG_VERSION"),
         git_rev(),
@@ -1090,11 +1087,7 @@ mod tests {
     #[test]
     fn synthesized_oracles_match_experiments_in_order() {
         let rb = Runbook::parse(&smoke_runbook()).unwrap();
-        let exps = rb.experiments();
-        let oracles: Vec<Oracle> = exps.iter().map(Experiment::oracle).collect();
-        assert_eq!(oracles.len(), exps.len());
-        for (o, e) in oracles.iter().zip(&exps) {
-            assert_eq!(o.experiment, e.id, "oracle order mirrors registry order");
+        for o in rb.experiments().iter().map(|e| &e.oracle) {
             assert!(!o.claim.is_empty());
             assert!(o.claim.contains("runbook 'ut'"));
             assert!(

@@ -230,7 +230,6 @@ mod tests {
         result.metric("b", 2.0);
         let (g, l) = if strict_pass { ("b", "a") } else { ("a", "b") };
         let oracle = Oracle {
-            experiment: "x".into(),
             claim: "demo claim with \"quotes\"".into(),
             assertions: vec![
                 ordering("strict one", g, l),
@@ -291,7 +290,6 @@ mod tests {
         result.metric("a", f64::NAN);
         result.metric("b", 2.0);
         let oracle = Oracle {
-            experiment: "test".into(),
             claim: "quote \" and backslash \\".into(),
             assertions: vec![ordering("b over a", "b", "a")],
         };

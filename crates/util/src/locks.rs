@@ -1,19 +1,18 @@
 //! Spin-lock primitives used by the data structures and allocator models.
 //!
-//! * [`TicketLock`] — FIFO-fair spin lock; used per-node by the DGT external
-//!   BST (David, Guerraoui, Trigonakis) exactly as in the paper's appendix D,
-//!   and by the jemalloc model's arena bins when configured for fairness.
-//! * [`SeqLock`] — a sequence lock / optimistic version lock; used by the
-//!   OCC tree (Bronson-style optimistic validation) and the ABtree's
-//!   structural-change coordination.
+//! * [`TicketLock`] — FIFO-fair spin lock; used per-node by the ABtree and
+//!   by the DGT external BST (David, Guerraoui, Trigonakis) as in the
+//!   paper's appendix D, and by the allocator models' shared bins
+//!   (`epic_alloc`'s `SpinBin`).
+//! * [`SeqLock`] — a version-word write lock; used per-node by the OCC tree
+//!   for its updates. The tree's readers never take or read it.
 //!
 //! Both are written with the acquire/release discipline from *Rust Atomics
-//! and Locks* ch. 4: the lock acquisition is an acquire operation, the release
-//! a release operation, and readers of seqlock-protected data validate with
-//! acquire fences on both sides.
+//! and Locks* ch. 4: the lock acquisition is an acquire operation and the
+//! release a release operation.
 
 use crate::backoff::Backoff;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A FIFO ticket spin lock.
 ///
@@ -93,32 +92,16 @@ impl TicketLock {
     }
 }
 
-/// A sequence lock: an even version means "unlocked/stable", odd means a
-/// writer is mid-update.
+/// A version-word write lock: an even version means unlocked, odd means a
+/// writer holds it.
 ///
-/// Readers snapshot the version, read the protected data, then validate the
-/// version is unchanged and even. Writers bump to odd, mutate, bump to even.
-/// This is the optimistic-validation primitive of the Bronson-style OCC tree.
+/// Writers bump to odd, mutate, bump to even. This is the per-node lock of
+/// the Bronson-style OCC tree, whose readers traverse without touching it:
+/// a writer re-checks the node's `marked` flag under the lock instead of
+/// readers validating versions, so only the writer half exists.
 #[derive(Debug, Default)]
 pub struct SeqLock {
     version: AtomicU64,
-}
-
-/// Snapshot of a [`SeqLock`] version for later validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqSnapshot(u64);
-
-impl SeqSnapshot {
-    /// True if the snapshot was taken while a writer held the lock; readers
-    /// must retry instead of validating against it.
-    pub fn is_write_locked(self) -> bool {
-        self.0 & 1 == 1
-    }
-
-    /// The raw version word (for diagnostics).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl SeqLock {
@@ -129,35 +112,8 @@ impl SeqLock {
         }
     }
 
-    /// Takes an optimistic read snapshot. If a writer is active this spins
-    /// until it finishes so the returned snapshot is always even.
-    pub fn read_begin(&self) -> SeqSnapshot {
-        let backoff = Backoff::new();
-        loop {
-            let v = self.version.load(Ordering::Acquire);
-            if v & 1 == 0 {
-                return SeqSnapshot(v);
-            }
-            backoff.snooze();
-        }
-    }
-
-    /// Takes a snapshot without waiting out writers; may be odd.
-    pub fn read_begin_nowait(&self) -> SeqSnapshot {
-        SeqSnapshot(self.version.load(Ordering::Acquire))
-    }
-
-    /// Validates that no write happened since `snap` was taken.
-    ///
-    /// The acquire fence orders the preceding data reads before the version
-    /// re-read (see *Rust Atomics and Locks* ch. 3 on fences).
-    pub fn read_validate(&self, snap: SeqSnapshot) -> bool {
-        fence(Ordering::Acquire);
-        self.version.load(Ordering::Relaxed) == snap.0 && snap.0 & 1 == 0
-    }
-
     /// Acquires the write lock, spinning until successful.
-    pub fn write_lock(&self) -> SeqSnapshot {
+    pub fn write_lock(&self) {
         let backoff = Backoff::new();
         loop {
             let v = self.version.load(Ordering::Relaxed);
@@ -167,39 +123,9 @@ impl SeqLock {
                     .compare_exchange_weak(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
-                return SeqSnapshot(v);
+                return;
             }
             backoff.snooze();
-        }
-    }
-
-    /// Attempts to acquire the write lock only if the version still equals
-    /// `expected` (i.e. no intervening write since the caller's snapshot).
-    pub fn try_upgrade(&self, expected: SeqSnapshot) -> bool {
-        expected.0 & 1 == 0
-            && self
-                .version
-                .compare_exchange(
-                    expected.0,
-                    expected.0 + 1,
-                    Ordering::Acquire,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-    }
-
-    /// Attempts the write lock without spinning.
-    pub fn try_write_lock(&self) -> Option<SeqSnapshot> {
-        let v = self.version.load(Ordering::Relaxed);
-        if v & 1 == 0
-            && self
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            Some(SeqSnapshot(v))
-        } else {
-            None
         }
     }
 
@@ -208,16 +134,6 @@ impl SeqLock {
         let v = self.version.load(Ordering::Relaxed);
         debug_assert_eq!(v & 1, 1, "write_unlock without write_lock");
         self.version.store(v + 1, Ordering::Release);
-    }
-
-    /// Current raw version (for invariant checks and tests).
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// True if a writer currently holds the lock.
-    pub fn is_write_locked(&self) -> bool {
-        self.version.load(Ordering::Relaxed) & 1 == 1
     }
 }
 
@@ -274,87 +190,26 @@ mod tests {
     }
 
     #[test]
-    fn seqlock_basic_protocol() {
-        let sl = SeqLock::new();
-        let snap = sl.read_begin();
-        assert!(sl.read_validate(snap));
-
-        let w = sl.write_lock();
-        assert_eq!(w.raw(), 0);
-        assert!(sl.is_write_locked());
-        assert!(
-            !sl.read_validate(snap),
-            "stale snapshot must not validate during write"
-        );
-        sl.write_unlock();
-        assert!(
-            !sl.read_validate(snap),
-            "stale snapshot must not validate after write"
-        );
-
-        let snap2 = sl.read_begin();
-        assert_eq!(snap2.raw(), 2);
-        assert!(sl.read_validate(snap2));
-    }
-
-    #[test]
-    fn seqlock_try_upgrade_detects_interference() {
-        let sl = SeqLock::new();
-        let snap = sl.read_begin();
-        // Another writer slips in.
-        let w = sl.write_lock();
-        let _ = w;
-        sl.write_unlock();
-        assert!(!sl.try_upgrade(snap));
-        // Fresh snapshot upgrades fine.
-        let snap = sl.read_begin();
-        assert!(sl.try_upgrade(snap));
-        sl.write_unlock();
-    }
-
-    #[test]
-    fn seqlock_readers_never_observe_torn_writes() {
-        // Writer keeps a two-word invariant (a == b); readers validate they
-        // never see it broken under a validated snapshot.
-        struct Shared {
-            lock: SeqLock,
-            a: StdAtomicU64,
-            b: StdAtomicU64,
-        }
-        let s = Arc::new(Shared {
-            lock: SeqLock::new(),
-            a: StdAtomicU64::new(0),
-            b: StdAtomicU64::new(0),
-        });
-        let writer = {
-            let s = Arc::clone(&s);
-            thread::spawn(move || {
-                for i in 1..=20_000u64 {
-                    s.lock.write_lock();
-                    s.a.store(i, Ordering::Relaxed);
-                    s.b.store(i, Ordering::Relaxed);
-                    s.lock.write_unlock();
+    fn seqlock_write_exclusion() {
+        let lock = Arc::new(SeqLock::new());
+        let counter = Arc::new(StdAtomicU64::new(0));
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let lock = Arc::clone(&lock);
+            let counter = Arc::clone(&counter);
+            handles.push(thread::spawn(move || {
+                for _ in 0..10_000 {
+                    lock.write_lock();
+                    // Lost updates show if two writers ever overlap.
+                    let v = counter.load(Ordering::Relaxed);
+                    counter.store(v + 1, Ordering::Relaxed);
+                    lock.write_unlock();
                 }
-            })
-        };
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                thread::spawn(move || {
-                    for _ in 0..20_000 {
-                        let snap = s.lock.read_begin();
-                        let a = s.a.load(Ordering::Relaxed);
-                        let b = s.b.load(Ordering::Relaxed);
-                        if s.lock.read_validate(snap) {
-                            assert_eq!(a, b, "validated read saw torn write");
-                        }
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 40_000);
     }
 }
