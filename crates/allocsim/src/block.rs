@@ -29,12 +29,12 @@ pub struct BlockHeader {
     /// Birth era stamped by era-based SMR schemes; untouched by the
     /// allocator models themselves except for zeroing on alloc.
     pub birth_era: AtomicU64,
-    /// Retire era stamped by era-based SMR schemes at retirement. Like
-    /// [`next`](Self::next), this word belongs to whoever owns the block's
-    /// current lifecycle stage: it is idle while the block is live and is
-    /// scratch for the retire pipeline between unlink and free (the SMR
-    /// limbo lists thread themselves through `next` and keep the retired
-    /// object's era interval here, so retirement needs no side allocation).
+    /// Retire era stamped by era-based SMR schemes at retirement, so the
+    /// block carries its whole `[birth, retire]` interval while it waits
+    /// in limbo and retirement needs no side allocation. The limbo lists
+    /// themselves thread only through [`next`](Self::next); no other
+    /// scheme and no allocator model reads or writes this word, except
+    /// for zeroing on alloc.
     pub retire_era: AtomicU64,
 }
 

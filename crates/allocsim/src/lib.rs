@@ -50,7 +50,6 @@ pub mod chunks;
 pub mod classes;
 pub mod cost;
 pub mod mi;
-pub mod segpool;
 pub mod spinbin;
 pub mod stats;
 pub mod sync;
@@ -73,7 +72,6 @@ pub use chunks::ChunkStore;
 pub use classes::{class_of, size_of_class, NUM_CLASSES};
 pub use cost::{CostModel, MachinePreset};
 pub use mi::MiModel;
-pub use segpool::{Segment, SegmentPool};
 pub use stats::{AllocSnapshot, ThreadAllocStats};
 pub use sys::SysModel;
 

@@ -1,19 +1,19 @@
 //! Machinery shared by every scheme: batch disposal (batch vs amortized),
-//! timeline instrumentation, garbage sampling, recycled scan scratch.
+//! timeline instrumentation, garbage sampling, scan-buffer accounting.
 //!
 //! Everything here is on the retire→rotate→drain→free path and therefore
 //! allocation-free in steady state: safe batches move as O(1) intrusive
-//! splices ([`RetiredList`]), and reclamation scans borrow recycled
-//! [`Segment`] scratch whose rare heap misses are counted into
-//! [`SmrStats`] (`retire_path_allocs`) so the harness can assert zero.
+//! splices ([`RetiredList`]), and each scanning thread reuses one scan
+//! buffer whose rare growth is counted into [`SmrStats`]
+//! (`retire_path_allocs`) so the harness can assert zero.
 
 use crate::config::{FreeMode, SmrConfig};
-use crate::freebuf::{FreeBuffer, PoolBins};
+use crate::freebuf::PoolBins;
 use crate::retired::RetiredList;
 use crate::smr_stats::SmrStats;
 
 use crate::sync::Ordering;
-use epic_alloc::{PoolAllocator, Segment, SegmentPool, Tid};
+use epic_alloc::{PoolAllocator, Tid};
 use epic_timeline::EventKind;
 use epic_util::{now_ns, TidSlots};
 use std::ptr::NonNull;
@@ -46,10 +46,10 @@ pub struct SchemeCommon {
     /// Full scheme name (base + free-mode suffix), interned once here so
     /// per-trial stats paths never re-format it.
     name: String,
-    freebufs: TidSlots<FreeBuffer>,
+    /// The amortized-free freeable lists, FIFO so the oldest safe objects
+    /// are freed first.
+    freebufs: TidSlots<RetiredList>,
     pools: TidSlots<PoolBins>,
-    /// Recycled scan scratch, one pool per thread.
-    scratch_pools: TidSlots<SegmentPool>,
     bg: Option<BgReclaimer>,
 }
 
@@ -61,9 +61,6 @@ impl SchemeCommon {
         // Stats get one extra slot so the background reclaimer (tid == n)
         // has somewhere to account its frees.
         let stats = SmrStats::new(n + 1);
-        // Scan snapshots are bounded by the widest published state any
-        // scheme keeps: two era words per hazard slot per thread.
-        let scratch_cap = (n * cfg.hp_slots * 2).max(16);
         let bg = matches!(cfg.mode, FreeMode::Background).then(|| {
             let (sender, receiver) = mpsc::channel::<BgMsg>();
             let alloc = Arc::clone(&alloc);
@@ -78,8 +75,8 @@ impl SchemeCommon {
                     while let Ok(msg) = receiver.recv() {
                         match msg {
                             BgMsg::Batch(mut batch) => {
-                                while let Some(r) = batch.pop() {
-                                    alloc.dealloc(bg_tid, r.ptr);
+                                while let Some(p) = batch.pop() {
+                                    alloc.dealloc(bg_tid, p);
                                 }
                             }
                             BgMsg::Sync(ack) => {
@@ -99,9 +96,8 @@ impl SchemeCommon {
             alloc,
             cfg,
             stats,
-            freebufs: TidSlots::new_with(n, |_| FreeBuffer::new()),
+            freebufs: TidSlots::new_with(n, |_| RetiredList::new()),
             pools: TidSlots::new_with(n, |_| PoolBins::new()),
-            scratch_pools: TidSlots::new_with(n, |_| SegmentPool::new(scratch_cap)),
             bg,
         }
     }
@@ -112,30 +108,15 @@ impl SchemeCommon {
         self.cfg.max_threads
     }
 
-    /// Borrows `tid`'s recycled scan scratch, cleared, with room for at
-    /// least `min_cap` slots. Return it with
-    /// [`scratch_done`](Self::scratch_done); the rare heap allocation a
-    /// miss costs is charged to the `retire_path_allocs` counter.
-    pub fn scratch(&self, tid: Tid, min_cap: usize) -> Segment {
-        // SAFETY: tid-exclusivity contract.
-        let pool = unsafe { self.scratch_pools.get_mut(tid) };
-        let seg = pool.acquire(min_cap);
-        let fresh = pool.take_heap_allocs();
-        if fresh > 0 {
-            self.stats.get(tid).on_retire_path_alloc(fresh);
-        }
-        seg
-    }
-
-    /// Returns a borrowed scratch segment for recycling. A segment that
-    /// grew past its granted capacity while borrowed is charged here.
-    pub fn scratch_done(&self, tid: Tid, seg: Segment) {
-        // SAFETY: tid-exclusivity contract.
-        let pool = unsafe { self.scratch_pools.get_mut(tid) };
-        pool.release(seg);
-        let grown = pool.take_heap_allocs();
-        if grown > 0 {
-            self.stats.get(tid).on_retire_path_alloc(grown);
+    /// Clears `tid`'s scan buffer `buf` and gives it room for at least
+    /// `min_cap` words. Each scanning thread keeps one buffer for its
+    /// lifetime, so in steady state this never allocates; the growth it
+    /// does perform is charged to the `retire_path_allocs` counter.
+    pub fn clear_scan(&self, tid: Tid, buf: &mut Vec<u64>, min_cap: usize) {
+        buf.clear();
+        if buf.capacity() < min_cap {
+            buf.reserve_exact(min_cap);
+            self.stats.get(tid).on_retire_path_alloc(1);
         }
     }
 
@@ -151,8 +132,7 @@ impl SchemeCommon {
             FreeMode::Batch => self.free_batch_now(tid, batch),
             FreeMode::Amortized { .. } => {
                 // SAFETY: tid-exclusivity contract.
-                let buf = unsafe { self.freebufs.get_mut(tid) };
-                buf.absorb(batch);
+                unsafe { self.freebufs.get_mut(tid) }.append(batch);
             }
             FreeMode::Pooled => {
                 // SAFETY: tid-exclusivity contract; batch pointers are live
@@ -185,8 +165,8 @@ impl SchemeCommon {
         }
         let n = batch.len() as u64;
         let t0 = now_ns();
-        while let Some(r) = batch.pop() {
-            self.dealloc_one(tid, r);
+        while let Some(p) = batch.pop() {
+            self.dealloc_one(tid, p);
         }
         let t1 = now_ns();
         let c = self.stats.get(tid);
@@ -222,9 +202,9 @@ impl SchemeCommon {
         }
         // SAFETY: tid-exclusivity contract.
         let pool = unsafe { self.pools.get_mut(tid) };
-        let r = pool.pop_for(size)?;
+        let p = pool.pop_for(size)?;
         self.stats.get(tid).on_pool_hit();
-        Some(r.ptr)
+        Some(p)
     }
 
     /// The backlog relief valve, called from `begin_op`: the alloc-coupled
@@ -281,10 +261,10 @@ impl SchemeCommon {
             let t0 = now_ns();
             let mut freed = 0u64;
             for _ in 0..n {
-                let Some(r) = buf.pop() else { break };
+                let Some(p) = buf.pop() else { break };
                 freed += 1;
-                warm(r);
-                self.dealloc_one(tid, r);
+                warm(p);
+                self.dealloc_one(tid, p);
             }
             let t1 = now_ns();
             c.on_free(freed);
@@ -294,10 +274,10 @@ impl SchemeCommon {
         let t0 = c.on_drain_tick().then(now_ns);
         let mut freed = 0u64;
         for _ in 0..n {
-            let Some(r) = buf.pop() else { break };
+            let Some(p) = buf.pop() else { break };
             freed += 1;
-            warm(r);
-            self.alloc.dealloc(tid, r.ptr);
+            warm(p);
+            self.alloc.dealloc(tid, p);
         }
         c.on_free(freed);
         if let Some(t0) = t0 {
@@ -310,10 +290,10 @@ impl SchemeCommon {
     /// Appendix F percentiles) and, if long enough, into the timeline as an
     /// individual `FreeCall` event.
     #[inline]
-    fn dealloc_one(&self, tid: Tid, r: crate::Retired) {
+    pub(crate) fn dealloc_one(&self, tid: Tid, ptr: NonNull<u8>) {
         if self.cfg.free_call_record_ns != u64::MAX {
             let t0 = now_ns();
-            self.alloc.dealloc(tid, r.ptr);
+            self.alloc.dealloc(tid, ptr);
             let t1 = now_ns();
             self.stats.record_free_latency(tid, t1 - t0);
             if t1 - t0 >= self.cfg.free_call_record_ns {
@@ -322,11 +302,11 @@ impl SchemeCommon {
                     EventKind::FreeCall,
                     t0,
                     t1,
-                    r.addr() as u64 & 0xFFFF_FFFF,
+                    ptr.as_ptr() as u64 & 0xFFFF_FFFF,
                 );
             }
         } else {
-            self.alloc.dealloc(tid, r.ptr);
+            self.alloc.dealloc(tid, ptr);
         }
     }
 
@@ -347,7 +327,7 @@ impl SchemeCommon {
     pub fn drain_freebuf(&self, tid: Tid) {
         // SAFETY: callers guarantee quiescence (trait contract of
         // `quiesce_and_drain`).
-        let mut all = unsafe { self.freebufs.get_mut(tid) }.drain_all();
+        let mut all = unsafe { self.freebufs.get_mut(tid) }.take();
         self.free_batch_now(tid, &mut all);
         // SAFETY: quiescence, as above.
         let mut pooled = unsafe { self.pools.get_mut(tid) }.drain_all();
@@ -387,10 +367,10 @@ impl SchemeCommon {
 
 /// Prefetches every line of a block about to be freed (DESIGN.md §10).
 #[inline]
-fn warm(r: crate::Retired) {
-    // SAFETY: `r` came off a freeable list, so it is a pool block this
+fn warm(p: NonNull<u8>) {
+    // SAFETY: `p` came off a freeable list, so it is a pool block this
     // scheme still owns; its header is intact until the free that follows.
-    unsafe { epic_alloc::BlockHeader::from_user(r.ptr) }.prefetch_block();
+    unsafe { epic_alloc::BlockHeader::from_user(p) }.prefetch_block();
 }
 
 impl Drop for SchemeCommon {
@@ -409,7 +389,6 @@ impl Drop for SchemeCommon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Retired;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
     use epic_timeline::{Recorder, Series};
 
@@ -428,7 +407,7 @@ mod tests {
             let p = c.alloc.alloc(tid, 64);
             c.stats.get(tid).on_retire(1);
             // SAFETY: live block of c.alloc, exclusively ours.
-            unsafe { list.push(Retired::new(p)) };
+            unsafe { list.push(p) };
         }
         list
     }
@@ -535,10 +514,10 @@ mod tests {
         // but not for a 256-byte one.
         let mut batch = make_batch(&c, 0, 1);
         let retired_addr = {
-            let r = batch.pop().unwrap();
+            let p = batch.pop().unwrap();
             // SAFETY: live block of c.alloc, exclusively ours.
-            unsafe { batch.push(r) };
-            r.addr()
+            unsafe { batch.push(p) };
+            p.as_ptr() as usize
         };
         c.dispose(0, &mut batch);
         assert_eq!(c.pool_len(0), 1);
@@ -611,22 +590,20 @@ mod tests {
     }
 
     #[test]
-    fn scratch_recycles_without_counting_allocs() {
+    fn clear_scan_charges_growth_only() {
         let c = common(FreeMode::Batch);
-        let mut seg = c.scratch(0, 8);
-        seg.push(42);
-        c.scratch_done(0, seg);
-        let first = c.stats.snapshot().retire_path_allocs;
-        assert!(first >= 1, "first borrow heap-allocates and is counted");
-        for _ in 0..64 {
-            let seg = c.scratch(0, 8);
-            assert!(seg.is_empty(), "scratch comes back cleared");
-            c.scratch_done(0, seg);
+        let allocs = || c.stats.snapshot().retire_path_allocs;
+        let mut buf = Vec::new();
+        c.clear_scan(0, &mut buf, 8);
+        assert_eq!(allocs(), 1, "the first scan grows the buffer once");
+        for i in 0..64 {
+            buf.extend(0..8u64);
+            c.clear_scan(0, &mut buf, 8 - i % 8);
+            assert!(buf.is_empty(), "the buffer comes back cleared");
         }
-        assert_eq!(
-            c.stats.snapshot().retire_path_allocs,
-            first,
-            "steady-state scratch borrows must not allocate"
-        );
+        assert_eq!(allocs(), 1, "steady-state scans must not allocate");
+        c.clear_scan(0, &mut buf, 32);
+        assert!(buf.capacity() >= 32);
+        assert_eq!(allocs(), 2, "a wider scan is charged again");
     }
 }

@@ -1,77 +1,23 @@
-//! The per-thread freeable list of the Amortized Free technique, plus the
-//! per-size-class object pool of [`crate::FreeMode::Pooled`].
+//! The per-size-class object pool of [`crate::FreeMode::Pooled`].
 //!
-//! §3.3: "once a batch of nodes has been identified as safe to free, one
-//! does not necessarily need to free them immediately as a batch. One could
-//! instead place the batch in a thread local *freeable list*, and gradually
-//! free objects one by one, each time a data structure operation is
-//! performed."
+//! The Amortized Free technique's per-thread freeable list (§3.3: "place
+//! the batch in a thread local *freeable list*, and gradually free objects
+//! one by one, each time a data structure operation is performed") is a
+//! bare [`RetiredList`] in [`crate::SchemeCommon`]. It is deliberately
+//! **not** an object pool: the paper wants to show interaction with the
+//! allocator can be made fast, not avoided (§3.3 and footnote 4), so it
+//! only delays `dealloc` calls — it never serves allocations. [`PoolBins`]
+//! is the pooling alternative the paper declines (and footnote 4 credits
+//! for VBR's performance), kept separate so the `ablation_pooled` bench
+//! can compare the two.
 //!
-//! [`FreeBuffer`] is deliberately **not** an object pool: the paper wants
-//! to show interaction with the allocator can be made fast, not avoided
-//! (§3.3 and footnote 4), so it only delays `dealloc` calls — it never
-//! serves allocations. [`PoolBins`] is the pooling alternative the paper
-//! declines (and footnote 4 credits for VBR's performance), implemented
-//! separately so the `ablation_pooled` bench can compare the two.
-//!
-//! Both are thin shells over [`RetiredList`]: absorbing a safe batch is an
-//! O(1) intrusive splice, and neither structure allocates after
-//! construction — the freeable list's spine is the retired memory itself.
+//! Absorbing a safe batch into either is intrusive relinking, and neither
+//! allocates after construction — their spines are the retired memory
+//! itself.
 
-use crate::retired::{Retired, RetiredList};
+use crate::retired::RetiredList;
 use epic_alloc::{class_of, BlockHeader, NUM_CLASSES};
-
-/// FIFO freeable list. FIFO matters: the oldest safe objects are freed
-/// first, bounding the staleness of any queued object.
-#[derive(Debug, Default)]
-pub struct FreeBuffer {
-    queue: RetiredList,
-}
-
-impl FreeBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        FreeBuffer {
-            queue: RetiredList::new(),
-        }
-    }
-
-    /// Queues an entire safe batch (O(1) splice; `batch` is left empty).
-    pub fn absorb(&mut self, batch: &mut RetiredList) {
-        self.queue.append(batch);
-    }
-
-    /// Queues one object.
-    ///
-    /// # Safety
-    /// Same contract as [`RetiredList::push`]: a live, exclusively-owned
-    /// pool-allocator block.
-    pub unsafe fn push(&mut self, r: Retired) {
-        // SAFETY: forwarded to caller.
-        unsafe { self.queue.push(r) };
-    }
-
-    /// Takes the oldest queued object, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Retired> {
-        self.queue.pop()
-    }
-
-    /// Splices the entire backlog out (teardown).
-    pub fn drain_all(&mut self) -> RetiredList {
-        self.queue.take()
-    }
-
-    /// Objects still queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
+use std::ptr::NonNull;
 
 /// Per-size-class LIFO object pool ([`crate::FreeMode::Pooled`]).
 ///
@@ -105,11 +51,11 @@ impl PoolBins {
     /// Every pointer in `batch` must be a live block from the scheme's
     /// pool allocator (so its header is readable).
     pub unsafe fn absorb(&mut self, batch: &mut RetiredList) {
-        while let Some(r) = batch.pop() {
+        while let Some(p) = batch.pop() {
             // SAFETY: forwarded to caller.
-            let class = unsafe { BlockHeader::from_user(r.ptr) }.class as usize;
+            let class = unsafe { BlockHeader::from_user(p) }.class as usize;
             // SAFETY: popped from a RetiredList, so still exclusively ours.
-            unsafe { self.bins[class].push_front(r) };
+            unsafe { self.bins[class].push_front(p) };
             self.len += 1;
         }
     }
@@ -117,11 +63,11 @@ impl PoolBins {
     /// Pops the most recently pooled block that can serve a `size`-byte
     /// allocation (exact class match — a smaller block would corrupt the
     /// heap, a larger one would leak capacity).
-    pub fn pop_for(&mut self, size: usize) -> Option<Retired> {
+    pub fn pop_for(&mut self, size: usize) -> Option<NonNull<u8>> {
         let class = class_of(size);
-        let r = self.bins[class].pop();
-        self.len -= usize::from(r.is_some());
-        r
+        let p = self.bins[class].pop();
+        self.len -= usize::from(p.is_some());
+        p
     }
 
     /// Moves up to `n` blocks (largest-bin first) into `out`, for draining
@@ -132,10 +78,10 @@ impl PoolBins {
                 break;
             };
             match bin.pop() {
-                Some(r) => {
+                Some(p) => {
                     self.len -= 1;
                     // SAFETY: popped from our bin, still exclusively ours.
-                    unsafe { out.push(r) };
+                    unsafe { out.push(p) };
                 }
                 None => break,
             }
@@ -180,59 +126,14 @@ mod tests {
             let p = a.alloc(0, s);
             addrs.push(p.as_ptr() as usize);
             // SAFETY: live block of `a`, exclusively ours.
-            unsafe { list.push(Retired::new(p)) };
+            unsafe { list.push(p) };
         }
         (list, addrs)
     }
 
     fn free_list(a: &Arc<dyn PoolAllocator>, mut list: RetiredList) {
-        while let Some(r) = list.pop() {
-            a.dealloc(0, r.ptr);
-        }
-    }
-
-    #[test]
-    fn absorb_then_pop_fifo() {
-        let a = arena();
-        let mut buf = FreeBuffer::new();
-        let (mut batch, addrs) = batch_of(&a, &[64, 64, 64]);
-        buf.absorb(&mut batch);
-        assert!(batch.is_empty());
-        assert_eq!(buf.len(), 3);
-        let first: Vec<usize> = (0..2).map(|_| buf.pop().unwrap().addr()).collect();
-        assert_eq!(first, addrs[..2], "oldest first");
-        assert_eq!(buf.len(), 1);
-        free_list(&a, buf.drain_all());
-        for addr in first {
-            a.dealloc(0, std::ptr::NonNull::new(addr as *mut u8).unwrap());
-        }
-    }
-
-    #[test]
-    fn pop_past_empty_is_none() {
-        let a = arena();
-        let mut buf = FreeBuffer::new();
-        let p = a.alloc(0, 64);
-        // SAFETY: live block of `a`, exclusively ours.
-        unsafe { buf.push(Retired::new(p)) };
-        assert_eq!(buf.pop().unwrap().addr(), p.as_ptr() as usize);
-        assert!(buf.pop().is_none());
-        assert!(buf.is_empty());
-        a.dealloc(0, p);
-    }
-
-    #[test]
-    fn absorb_twice_preserves_arrival_order() {
-        let a = arena();
-        let mut buf = FreeBuffer::new();
-        let (mut first, first_addrs) = batch_of(&a, &[64]);
-        let (mut second, second_addrs) = batch_of(&a, &[64]);
-        buf.absorb(&mut first);
-        buf.absorb(&mut second);
-        assert_eq!(buf.pop().unwrap().addr(), first_addrs[0]);
-        assert_eq!(buf.pop().unwrap().addr(), second_addrs[0]);
-        for addr in [first_addrs[0], second_addrs[0]] {
-            a.dealloc(0, std::ptr::NonNull::new(addr as *mut u8).unwrap());
+        while let Some(p) = list.pop() {
+            a.dealloc(0, p);
         }
     }
 
@@ -252,11 +153,11 @@ mod tests {
             let hit = pool
                 .pop_for(200)
                 .expect("the 240-byte block serves a 200-byte ask");
-            assert_eq!(hit.addr(), addrs[1]);
+            assert_eq!(hit.as_ptr() as usize, addrs[1]);
             assert!(pool.pop_for(200).is_none(), "class 256 is now empty");
             // LIFO within the 64-byte class.
-            assert_eq!(pool.pop_for(64).unwrap().addr(), addrs[2]);
-            assert_eq!(pool.pop_for(64).unwrap().addr(), addrs[0]);
+            assert_eq!(pool.pop_for(64).unwrap().as_ptr() as usize, addrs[2]);
+            assert_eq!(pool.pop_for(64).unwrap().as_ptr() as usize, addrs[0]);
             assert_eq!(pool.len(), 1);
             free_list(&a, pool.drain_all());
             for addr in [addrs[1], addrs[2], addrs[0]] {
@@ -277,7 +178,7 @@ mod tests {
             assert_eq!(pool.len(), 2);
             // Both excess blocks came from the (fuller) 64-byte bin.
             let survivor = pool.pop_for(240).expect("240-class survived the bleed");
-            a.dealloc(0, survivor.ptr);
+            a.dealloc(0, survivor);
             free_list(&a, excess);
             free_list(&a, pool.drain_all());
         }

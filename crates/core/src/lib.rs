@@ -71,9 +71,8 @@ pub mod sync;
 
 pub use common::SchemeCommon;
 pub use config::{FreeMode, SmrConfig};
-pub use freebuf::FreeBuffer;
 pub use handle::{OpGuard, Restart, SchemeLocal, Smr, SmrHandle, LINK_TAG_MASK};
-pub use retired::{Retired, RetiredList};
+pub use retired::RetiredList;
 pub use smr_stats::SmrSnapshot;
 
 use epic_alloc::{PoolAllocator, Tid};

@@ -1,71 +1,23 @@
-//! Retired-object records and the intrusive limbo list they live on.
+//! The intrusive limbo list retired blocks live on.
 //!
 //! Between unlink and free, a retired block is dead memory the reclamation
-//! scheme owns — including its [`BlockHeader`], whose free-list link and
-//! era words are idle in that window. [`RetiredList`] threads limbo bags,
-//! freeable lists and object pools directly through those header fields,
-//! so pushing a retirement, rotating a bag, splicing a safe batch onto the
-//! freeable list, and draining it back to the allocator are all pointer
-//! writes: the steady-state retire pipeline performs **zero heap
-//! allocations**, and nothing the measurement harness does shows up as
-//! allocator traffic attributed to the scheme under test.
+//! scheme owns — including its [`BlockHeader`], whose free-list link is
+//! idle in that window. [`RetiredList`] threads limbo bags, freeable lists
+//! and object pools directly through that link, so pushing a retirement,
+//! rotating a bag, splicing a safe batch onto the freeable list, and
+//! draining it back to the allocator are all pointer writes: the
+//! steady-state retire pipeline performs **zero heap allocations**, and
+//! nothing the measurement harness does shows up as allocator traffic
+//! attributed to the scheme under test.
 
 use crate::sync::Ordering;
 use epic_alloc::BlockHeader;
 use std::ptr::NonNull;
 
-/// One retired (unlinked but not yet freed) object.
-///
-/// Carries the metadata era-based schemes need to decide freeability:
-/// the block's birth era (stamped at allocation via
-/// [`crate::RawSmr::on_alloc`]) and the era at retirement. Epoch/token
-/// schemes ignore both fields. This is a *view*: while the object sits on
-/// a [`RetiredList`], the canonical copy of both eras lives in the block's
-/// own header.
-#[derive(Debug, Clone, Copy)]
-pub struct Retired {
-    /// User pointer of the block (as handed out by the allocator).
-    pub ptr: NonNull<u8>,
-    /// Era at allocation (0 for schemes that do not stamp).
-    pub birth_era: u64,
-    /// Era at retirement (0 for schemes that do not stamp).
-    pub retire_era: u64,
-}
-
-// SAFETY: a Retired is a capability to free the block; ownership semantics
-// are enforced by the schemes (exactly one bag holds it). The raw pointer
-// itself is Send.
-unsafe impl Send for Retired {}
-
-impl Retired {
-    /// A record without era metadata.
-    pub fn new(ptr: NonNull<u8>) -> Self {
-        Retired {
-            ptr,
-            birth_era: 0,
-            retire_era: 0,
-        }
-    }
-
-    /// A record with era interval `[birth, retire]`.
-    pub fn with_eras(ptr: NonNull<u8>, birth_era: u64, retire_era: u64) -> Self {
-        Retired {
-            ptr,
-            birth_era,
-            retire_era,
-        }
-    }
-
-    /// The block address as an integer (hazard-set membership tests).
-    #[inline]
-    pub fn addr(&self) -> usize {
-        self.ptr.as_ptr() as usize
-    }
-}
-
 /// An intrusive FIFO list of retired blocks, threaded through each block's
-/// [`BlockHeader::next`] link with the era interval parked in the header's
-/// era words.
+/// [`BlockHeader::next`] link. The list writes nothing else in the header:
+/// era schemes keep their `[birth, retire]` interval in the header's era
+/// words themselves.
 ///
 /// Every mutation is O(1) — push, pop, and whole-list splice — and none
 /// allocates: the spine *is* the retired memory. The list is single-owner
@@ -78,7 +30,7 @@ impl Retired {
 /// that the caller exclusively owns from retirement to free — the same
 /// contract [`crate::RawSmr::retire`] already imposes. Dropping a non-empty
 /// list does not free its blocks; they stay owned by the allocator's chunk
-/// store until it drops (identical to dropping the old `Vec<Retired>`).
+/// store until it drops.
 #[derive(Debug, Default)]
 pub struct RetiredList {
     /// Header address of the oldest entry (0 = empty).
@@ -114,8 +66,15 @@ impl RetiredList {
         self.len == 0
     }
 
+    /// Appends a retired block.
+    ///
+    /// # Safety
+    /// `ptr` must be a live block of a pool allocator, exclusively owned
+    /// by the caller (retired: unlinked, on no other list) until popped.
     #[inline]
-    fn link_back(&mut self, hdr: &BlockHeader) {
+    pub unsafe fn push(&mut self, ptr: NonNull<u8>) {
+        // SAFETY: caller guarantees a valid, exclusively-owned block.
+        let hdr = unsafe { BlockHeader::from_user(ptr) };
         hdr.next.store(0, Ordering::Relaxed);
         let addr = hdr.addr();
         if self.tail == 0 {
@@ -130,44 +89,15 @@ impl RetiredList {
         self.len += 1;
     }
 
-    /// Appends a retirement, stamping both era words into the header.
-    ///
-    /// # Safety
-    /// `r.ptr` must be a live block of a pool allocator, exclusively owned
-    /// by the caller (retired: unlinked, on no other list) until popped.
-    #[inline]
-    pub unsafe fn push(&mut self, r: Retired) {
-        // SAFETY: caller guarantees a valid, exclusively-owned block.
-        let hdr = unsafe { BlockHeader::from_user(r.ptr) };
-        hdr.birth_era.store(r.birth_era, Ordering::Release);
-        hdr.retire_era.store(r.retire_era, Ordering::Release);
-        self.link_back(hdr);
-    }
-
-    /// Appends a retirement on the hot path: stamps only the retire era,
-    /// leaving the birth era the scheme wrote at allocation untouched.
+    /// Prepends a retired block (LIFO use: object pools pop the warmest
+    /// block first).
     ///
     /// # Safety
     /// Same contract as [`push`](Self::push).
     #[inline]
-    pub unsafe fn push_retire(&mut self, ptr: NonNull<u8>, retire_era: u64) {
+    pub unsafe fn push_front(&mut self, ptr: NonNull<u8>) {
         // SAFETY: caller guarantees a valid, exclusively-owned block.
         let hdr = unsafe { BlockHeader::from_user(ptr) };
-        hdr.retire_era.store(retire_era, Ordering::Release);
-        self.link_back(hdr);
-    }
-
-    /// Prepends a retirement (LIFO use: object pools pop the warmest block
-    /// first).
-    ///
-    /// # Safety
-    /// Same contract as [`push`](Self::push).
-    #[inline]
-    pub unsafe fn push_front(&mut self, r: Retired) {
-        // SAFETY: caller guarantees a valid, exclusively-owned block.
-        let hdr = unsafe { BlockHeader::from_user(r.ptr) };
-        hdr.birth_era.store(r.birth_era, Ordering::Release);
-        hdr.retire_era.store(r.retire_era, Ordering::Release);
         hdr.next.store(self.head, Ordering::Relaxed);
         self.head = hdr.addr();
         if self.tail == 0 {
@@ -176,10 +106,9 @@ impl RetiredList {
         self.len += 1;
     }
 
-    /// Removes and returns the oldest entry, reconstructing its era view
-    /// from the header.
+    /// Removes and returns the oldest entry.
     #[inline]
-    pub fn pop(&mut self) -> Option<Retired> {
+    pub fn pop(&mut self) -> Option<NonNull<u8>> {
         if self.head == 0 {
             return None;
         }
@@ -197,11 +126,7 @@ impl RetiredList {
             epic_alloc::block::prefetch_line(self.head);
         }
         self.len -= 1;
-        Some(Retired {
-            ptr: hdr.user_ptr(),
-            birth_era: hdr.birth_era.load(Ordering::Acquire),
-            retire_era: hdr.retire_era.load(Ordering::Acquire),
-        })
+        Some(hdr.user_ptr())
     }
 
     /// Splices all of `other` onto this list's tail in O(1), leaving
@@ -236,15 +161,15 @@ impl RetiredList {
     /// a relink of blocks this list already owns.
     pub fn partition_into(
         &mut self,
-        mut keep: impl FnMut(&Retired) -> bool,
+        mut keep: impl FnMut(NonNull<u8>) -> bool,
         freeable: &mut RetiredList,
     ) {
         let mut kept = RetiredList::new();
-        while let Some(r) = self.pop() {
-            let target = if keep(&r) { &mut kept } else { &mut *freeable };
+        while let Some(p) = self.pop() {
+            let target = if keep(p) { &mut kept } else { &mut *freeable };
             // SAFETY: popped from this list: a live block we exclusively
             // own until it is freed.
-            unsafe { target.push(r) };
+            unsafe { target.push(p) };
         }
         self.append(&mut kept);
     }
@@ -253,64 +178,52 @@ impl RetiredList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epic_alloc::{build_allocator, AllocatorKind, CostModel, PoolAllocator};
+    use epic_alloc::{block, build_allocator, AllocatorKind, CostModel, PoolAllocator};
     use std::sync::Arc;
-
-    #[test]
-    fn construction_and_addr() {
-        let mut word = 0u64;
-        let p = NonNull::new(&mut word as *mut u64 as *mut u8).unwrap();
-        let r = Retired::new(p);
-        assert_eq!(r.addr(), p.as_ptr() as usize);
-        assert_eq!(r.birth_era, 0);
-        let r2 = Retired::with_eras(p, 3, 9);
-        assert_eq!((r2.birth_era, r2.retire_era), (3, 9));
-    }
 
     fn arena() -> Arc<dyn PoolAllocator> {
         build_allocator(AllocatorKind::Sys, 1, CostModel::zero())
     }
 
     fn free_all(a: &Arc<dyn PoolAllocator>, mut list: RetiredList) {
-        while let Some(r) = list.pop() {
-            a.dealloc(0, r.ptr);
-        }
-    }
-
-    #[test]
-    fn fifo_push_pop_roundtrips_eras() {
-        let a = arena();
-        let mut list = RetiredList::new();
-        let ptrs: Vec<_> = (0..3).map(|_| a.alloc(0, 64)).collect();
-        for (i, &p) in ptrs.iter().enumerate() {
-            // SAFETY: live blocks of `a`, exclusively ours.
-            unsafe { list.push(Retired::with_eras(p, i as u64, i as u64 + 10)) };
-        }
-        assert_eq!(list.len(), 3);
-        for (i, &p) in ptrs.iter().enumerate() {
-            let r = list.pop().expect("fifo entry");
-            assert_eq!(r.ptr, p, "oldest first");
-            assert_eq!((r.birth_era, r.retire_era), (i as u64, i as u64 + 10));
-        }
-        assert!(list.pop().is_none());
-        assert_eq!(list.len(), 0);
-        for p in ptrs {
+        while let Some(p) = list.pop() {
             a.dealloc(0, p);
         }
     }
 
     #[test]
-    fn push_retire_preserves_birth_era() {
+    fn fifo_order_leaves_era_words_untouched() {
         let a = arena();
-        let p = a.alloc(0, 64);
-        // SAFETY: live block.
-        unsafe { epic_alloc::block::set_birth_era(p, 7) };
         let mut list = RetiredList::new();
-        // SAFETY: live block, exclusively ours.
-        unsafe { list.push_retire(p, 21) };
-        let r = list.pop().unwrap();
-        assert_eq!((r.birth_era, r.retire_era), (7, 21));
-        a.dealloc(0, p);
+        let ptrs: Vec<_> = (0..4).map(|_| a.alloc(0, 64)).collect();
+        for (i, &p) in ptrs.iter().enumerate() {
+            // SAFETY: live blocks of `a`, exclusively ours.
+            unsafe {
+                block::set_birth_era(p, i as u64);
+                block::set_retire_era(p, i as u64 + 10);
+                list.push(p);
+            }
+        }
+        assert_eq!(list.len(), 4);
+        // Odd indices are kept; both sides stay oldest-first.
+        let mut freeable = RetiredList::new();
+        list.partition_into(|p| p == ptrs[1] || p == ptrs[3], &mut freeable);
+        assert_eq!((list.len(), freeable.len()), (2, 2));
+        let order: Vec<_> = std::iter::from_fn(|| freeable.pop())
+            .chain(std::iter::from_fn(|| list.pop()))
+            .collect();
+        assert_eq!(order, [ptrs[0], ptrs[2], ptrs[1], ptrs[3]]);
+        assert!(list.pop().is_none() && list.is_empty());
+        for (i, &p) in ptrs.iter().enumerate() {
+            // SAFETY: live blocks of `a`.
+            let eras = unsafe { (block::birth_era(p), block::retire_era(p)) };
+            assert_eq!(
+                eras,
+                (i as u64, i as u64 + 10),
+                "era words are the scheme's"
+            );
+            a.dealloc(0, p);
+        }
     }
 
     #[test]
@@ -320,11 +233,11 @@ mod tests {
         let ptrs: Vec<_> = (0..3).map(|_| a.alloc(0, 64)).collect();
         for &p in &ptrs {
             // SAFETY: live blocks, exclusively ours.
-            unsafe { list.push_front(Retired::new(p)) };
+            unsafe { list.push_front(p) };
         }
-        assert_eq!(list.pop().unwrap().ptr, ptrs[2], "newest first");
-        assert_eq!(list.pop().unwrap().ptr, ptrs[1]);
-        assert_eq!(list.pop().unwrap().ptr, ptrs[0]);
+        assert_eq!(list.pop().unwrap(), ptrs[2], "newest first");
+        assert_eq!(list.pop().unwrap(), ptrs[1]);
+        assert_eq!(list.pop().unwrap(), ptrs[0]);
         for p in ptrs {
             a.dealloc(0, p);
         }
@@ -338,23 +251,23 @@ mod tests {
         let ptrs: Vec<_> = (0..4).map(|_| a.alloc(0, 64)).collect();
         // SAFETY: live blocks, exclusively ours.
         unsafe {
-            front.push(Retired::new(ptrs[0]));
-            front.push(Retired::new(ptrs[1]));
-            back.push(Retired::new(ptrs[2]));
-            back.push(Retired::new(ptrs[3]));
+            front.push(ptrs[0]);
+            front.push(ptrs[1]);
+            back.push(ptrs[2]);
+            back.push(ptrs[3]);
         }
         front.append(&mut back);
         assert_eq!(front.len(), 4);
         assert!(back.is_empty());
         back.append(&mut RetiredList::new()); // empty-into-empty is a no-op
         for &p in &ptrs {
-            assert_eq!(front.pop().unwrap().ptr, p, "splice keeps FIFO order");
+            assert_eq!(front.pop().unwrap(), p, "splice keeps FIFO order");
         }
         // Appending onto an emptied list re-links head and tail.
         let q = a.alloc(0, 64);
         let mut single = RetiredList::new();
         // SAFETY: live block, exclusively ours.
-        unsafe { single.push(Retired::new(q)) };
+        unsafe { single.push(q) };
         front.append(&mut single);
         assert_eq!(front.len(), 1);
         free_all(&a, front);
@@ -369,7 +282,7 @@ mod tests {
         let mut list = RetiredList::new();
         let p = a.alloc(0, 64);
         // SAFETY: live block, exclusively ours.
-        unsafe { list.push(Retired::new(p)) };
+        unsafe { list.push(p) };
         let moved = list.take();
         assert!(list.is_empty());
         assert_eq!(moved.len(), 1);

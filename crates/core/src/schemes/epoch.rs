@@ -217,7 +217,7 @@ impl RawSmr for EpochSmr {
         }
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
-        unsafe { bag.items.push_retire(ptr, 0) };
+        unsafe { bag.items.push(ptr) };
         // Shape point 5: a full bag makes rcu try to advance.
         if self.kind == SmrKind::Rcu && bag.items.len() >= self.common.cfg.bag_cap {
             self.scan(tid, state, self.global_epoch.load(Ordering::SeqCst));

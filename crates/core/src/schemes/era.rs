@@ -41,6 +41,8 @@ const NONE: u64 = u64::MAX;
 
 struct EraThread {
     bag: RetiredList,
+    /// Reservation snapshot, reused by every scan.
+    scan: Vec<u64>,
     retires_since_tick: usize,
 }
 
@@ -72,6 +74,7 @@ impl EraSmr {
             slots: SlotBlocks::new_with(n, words, || AtomicU64::new(NONE)),
             threads: TidSlots::new_with(n, |_| EraThread {
                 bag: RetiredList::new(),
+                scan: Vec::new(),
                 retires_since_tick: 0,
             }),
             common: SchemeCommon::new(kind.base_name(), alloc, cfg),
@@ -83,15 +86,17 @@ impl EraSmr {
         self.era.load(Ordering::SeqCst)
     }
 
-    /// Reservation snapshot in recycled scratch (never more words than the
-    /// threads publish), in-place bag partition: no heap allocation.
+    /// Reservation snapshot in the thread's scan buffer (never more words
+    /// than the threads publish), in-place bag partition: no heap
+    /// allocation.
     fn scan_and_reclaim(&self, tid: Tid, state: &mut EraThread) {
         self.common.stats.get(tid).on_scan();
         fence(Ordering::SeqCst);
         // Shape point 3: ibr's pair is one interval; any other word is the
         // single era `[e, e]`.
         let width = if self.kind == SmrKind::Ibr { 2 } else { 1 };
-        let mut reserved = self.common.scratch(tid, self.slots.count());
+        let reserved = &mut state.scan;
+        self.common.clear_scan(tid, reserved, self.slots.count());
         for t in 0..self.common.n_threads() {
             for words in self.slots.block(t).chunks_exact(width) {
                 let at = reserved.len();
@@ -104,14 +109,15 @@ impl EraSmr {
         let mut freeable = RetiredList::new();
         state.bag.partition_into(
             // Overlap test: [lo, hi] ∩ [birth, retire] ≠ ∅.
-            |r| {
+            |p| {
+                // SAFETY: a bagged block is live and ours until freed.
+                let (birth, retire) = unsafe { (block::birth_era(p), block::retire_era(p)) };
                 reserved
                     .chunks_exact(width)
-                    .any(|iv| iv[0] <= r.retire_era && r.birth_era <= iv[width - 1])
+                    .any(|iv| iv[0] <= retire && birth <= iv[width - 1])
             },
             &mut freeable,
         );
-        self.common.scratch_done(tid, reserved);
         self.common.dispose(tid, &mut freeable);
     }
 }
@@ -149,13 +155,15 @@ impl RawSmr for EraSmr {
 
     fn retire(&self, tid: Tid, ptr: NonNull<u8>) {
         self.common.stats.get(tid).on_retire(1);
-        let retire_era = self.era.load(Ordering::SeqCst);
         // SAFETY: tid-exclusivity contract.
         let state = unsafe { self.threads.get_mut(tid) };
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours; its birth era is already in the
         // header (stamped by `on_alloc`), so only the retire era is added.
-        unsafe { state.bag.push_retire(ptr, retire_era) };
+        unsafe {
+            block::set_retire_era(ptr, self.era.load(Ordering::SeqCst));
+            state.bag.push(ptr);
+        }
         state.retires_since_tick += 1;
         if state.retires_since_tick >= self.common.cfg.era_freq {
             state.retires_since_tick = 0;

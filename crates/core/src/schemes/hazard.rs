@@ -50,7 +50,7 @@ use crate::retired::RetiredList;
 use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use crate::sync::{fence, AtomicU64, AtomicUsize, Ordering};
-use epic_alloc::{PoolAllocator, Segment, Tid};
+use epic_alloc::{PoolAllocator, Tid};
 use epic_timeline::EventKind;
 use epic_util::{now_ns, Backoff, CachePadded, SlotBlocks, TidSlots};
 use std::ptr::NonNull;
@@ -82,6 +82,9 @@ struct HazardThread {
     sealed: RetiredList,
     /// Timestamp of the newest retirement in `sealed`.
     sealed_ns: u64,
+    /// Slot snapshot (and nbr's acknowledgment flags), reused by every
+    /// reclaim.
+    scan: Vec<u64>,
     last_seen_request: u64,
     restarts: u64,
 }
@@ -128,27 +131,26 @@ impl HazardSmr {
 
     /// The address-snapshot reclaim: disposes of every object in `bag`
     /// whose address no slot announces; announced objects stay. The sorted
-    /// snapshot lives in `scratch` and the bag is partitioned in place: no
-    /// heap allocation.
-    fn reclaim(&self, tid: Tid, bag: &mut RetiredList, mut scratch: Segment) {
+    /// snapshot lives in the thread's scan buffer `scan` and the bag is
+    /// partitioned in place: no heap allocation.
+    fn reclaim(&self, tid: Tid, bag: &mut RetiredList, scan: &mut Vec<u64>) {
         // The fence pairs with the SeqCst announcement stores: any
         // announcement that precedes this scan in the SeqCst order is
         // observed.
         fence(Ordering::SeqCst);
-        scratch.clear();
-        scratch.extend(
+        self.common.clear_scan(tid, scan, self.slots.count());
+        scan.extend(
             self.slots
                 .iter()
                 .map(|s| s.load(Ordering::Acquire) as u64)
                 .filter(|&p| p != 0),
         );
-        scratch.sort_unstable();
+        scan.sort_unstable();
         let mut freeable = RetiredList::new();
         bag.partition_into(
-            |r| scratch.binary_search(&(r.addr() as u64)).is_ok(),
+            |p| scan.binary_search(&(p.as_ptr() as u64)).is_ok(),
             &mut freeable,
         );
-        self.common.scratch_done(tid, scratch);
         self.common.dispose(tid, &mut freeable);
     }
 
@@ -161,12 +163,13 @@ impl HazardSmr {
         let seal_ns = state.sealed_ns;
 
         // Phase 1: request neutralization (shape point 2: nbr+ skips
-        // provably-safe threads). The acknowledgment flags live in
-        // recycled scratch — one word per thread — so a reclaim pass
-        // allocates nothing.
+        // provably-safe threads). The acknowledgment flags live in the
+        // scan buffer — one word per thread — so a reclaim pass allocates
+        // nothing.
         let n = self.shared.len();
-        let mut scratch = self.common.scratch(tid, n.max(self.slots.count()));
-        scratch.resize(n, 0);
+        let acks = &mut state.scan;
+        self.common.clear_scan(tid, acks, n.max(self.slots.count()));
+        acks.resize(n, 0);
         for (t, sh) in self.shared.iter().enumerate() {
             if t == tid {
                 continue;
@@ -181,7 +184,7 @@ impl HazardSmr {
                 continue;
             }
             sh.request.store(seq, Ordering::SeqCst);
-            scratch[t] = 1;
+            acks[t] = 1;
         }
 
         // Phase 2: handshake. A thread passes when it acked, is immune in
@@ -189,7 +192,7 @@ impl HazardSmr {
         // *published slots* are honored below.
         let deadline = now_ns() + HANDSHAKE_TIMEOUT_NS;
         for (t, sh) in self.shared.iter().enumerate() {
-            if scratch[t] == 0 {
+            if acks[t] == 0 {
                 continue;
             }
             let backoff = Backoff::new();
@@ -203,7 +206,6 @@ impl HazardSmr {
                 }
                 if now_ns() > deadline {
                     // Liveness guard: give up, keep the bags.
-                    self.common.scratch_done(tid, scratch);
                     return false;
                 }
                 backoff.snooze();
@@ -211,9 +213,9 @@ impl HazardSmr {
         }
 
         // Phase 3: free the sealed bag but for the write-phase slots
-        // (reusing the scratch the handshake is done with); announced
+        // (reusing the scan buffer the handshake is done with); announced
         // objects stay sealed.
-        self.reclaim(tid, &mut state.sealed, scratch);
+        self.reclaim(tid, &mut state.sealed, &mut state.scan);
         self.common.record_epoch_advance(tid, seq);
         true
     }
@@ -316,14 +318,13 @@ impl RawSmr for HazardSmr {
         let state = unsafe { self.threads.get_mut(tid) };
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
-        unsafe { state.current.push_retire(ptr, 0) };
+        unsafe { state.current.push(ptr) };
         // Shape point 4: when a reclaim runs and which bag it targets.
         let cap = self.common.cfg.bag_cap;
         if self.kind == SmrKind::Hp {
             if state.current.len() >= cap.max(2 * self.slots.count()) {
                 self.common.stats.get(tid).on_scan();
-                let scratch = self.common.scratch(tid, self.slots.count());
-                self.reclaim(tid, &mut state.current, scratch);
+                self.reclaim(tid, &mut state.current, &mut state.scan);
             }
         } else if state.current.len() >= cap {
             if !state.sealed.is_empty() && !self.neutralize_and_reclaim(tid, state) {

@@ -175,8 +175,8 @@ impl TokenSmr {
         let counters = self.common.stats.get(tid);
         counters.on_batch();
         let mut freed = 0usize;
-        while let Some(r) = state.previous.pop() {
-            self.common.alloc.dealloc(tid, r.ptr);
+        while let Some(p) = state.previous.pop() {
+            self.common.dealloc_one(tid, p);
             freed += 1;
             if freed.is_multiple_of(check_every) && self.holds_token(tid, state.consumed) {
                 // Forward without swapping: we hold no data-structure
@@ -222,7 +222,7 @@ impl RawSmr for TokenSmr {
         let state = unsafe { self.threads.get_mut(tid) };
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
-        unsafe { state.current.push_retire(ptr, 0) };
+        unsafe { state.current.push(ptr) };
     }
 
     fn detach(&self, tid: Tid) {
@@ -297,6 +297,19 @@ mod tests {
         smr.quiesce_and_drain();
         assert_eq!(smr.stats().freed, 50);
         assert_eq!(smr.stats().garbage, 0);
+    }
+
+    #[test]
+    fn batch_free_records_every_call() {
+        let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
+        let cfg = SmrConfig::new(1)
+            .with_mode(FreeMode::Batch)
+            .with_free_call_recording(0);
+        let smr = TokenSmr::new(Arc::clone(&alloc), cfg, SmrKind::TokenPeriodic);
+        churn(&alloc, &smr, 0, 50);
+        let freed = smr.stats().freed;
+        assert!(freed > 0, "the ring must have freed something");
+        assert_eq!(smr.common().stats.free_hist().count(), freed);
     }
 
     #[test]

@@ -27,10 +27,11 @@ pub struct ThreadSmrCounters {
     /// Objects served from the thread's object pool instead of the
     /// allocator ([`crate::FreeMode::Pooled`]).
     pub pool_hits: Cell<u64>,
-    /// Heap allocations performed by the retire pipeline itself (scratch
-    /// segment-pool misses). The zero-allocation design keeps this at 0 in
-    /// steady state; anything else is measurement overhead attributed to
-    /// the scheme under test.
+    /// Heap allocations performed by the retire pipeline itself (growth of
+    /// a thread's scan buffer, [`crate::SchemeCommon::clear_scan`]). Each
+    /// scanning thread grows its buffer once and the zero-allocation
+    /// design keeps this flat in steady state; anything else is
+    /// measurement overhead attributed to the scheme under test.
     pub retire_path_allocs: Cell<u64>,
     /// Unreclaimed garbage currently attributed to this thread (limbo
     /// bags and the freeable list). Mirrored into `garbage_pub` for
@@ -124,7 +125,7 @@ impl ThreadSmrCounters {
         Self::bump(&self.scans, 1);
     }
 
-    /// Records a heap allocation on the retire path (scratch-pool miss).
+    /// Records a heap allocation on the retire path (scan-buffer growth).
     #[inline]
     pub fn on_retire_path_alloc(&self, n: u64) {
         Self::bump(&self.retire_path_allocs, n);

@@ -157,7 +157,7 @@ fn smr_with(kind: SmrKind, alloc: Arc<TrackingAlloc>, cfg: SmrConfig) -> Smr {
 // Model 1: limbo-bag splice/drain, free-count==1 oracle.
 //
 // qsbr + amortized freeing drives the full splice pipeline: retire into
-// epoch bags -> bag rotation disposes into the FreeBuffer (the
+// epoch bags -> bag rotation disposes into the freeable list (the
 // RetiredList::append splice) -> alloc-coupled drain + teardown drain.
 // The M_SPLICE_KEEP_SOURCE mutant leaves the spliced chain owned by
 // both lists; teardown then frees it twice — deterministically, in
@@ -758,9 +758,9 @@ fn qsbr_detach_skip_mutant_is_killed() {
 }
 
 // ---------------------------------------------------------------------
-// Model 6: FreeBuffer flush under contention (hp + amortized).
+// Model 6: freeable-list flush under contention (hp + amortized).
 //
-// Both threads feed the per-thread FreeBuffers through scans while the
+// Both threads feed the per-thread freeable lists through scans while the
 // alloc-coupled drain pulls from them concurrently; teardown drains the
 // rest. Oracle: exactly-once frees, nothing leaked.
 // ---------------------------------------------------------------------

@@ -41,7 +41,7 @@ fn je() -> Arc<dyn PoolAllocator> {
 /// steady state must not allocate; the step is warmed up until the scheme
 /// has retired `4 × BAG_CAP` objects — reclamation progress, never an op
 /// count, so every bag has rotated and the first scans (with their one-off
-/// scratch-pool misses) are behind it whatever the shape's retire rate —
+/// scan-buffer growth) are behind it whatever the shape's retire rate —
 /// and then `steps` more run under the counter.
 fn assert_steady_state_is_heap_free<S: FnMut()>(
     shape_name: &str,

@@ -2,7 +2,6 @@
 
 use crate::event::{Event, EventKind};
 use epic_util::{now_ns, TidSlots};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default per-thread event capacity — the paper validated "up to 100,000
 /// timeline events per thread" with no measurable overhead.
@@ -16,8 +15,8 @@ struct Buffer {
 /// Per-thread timeline recorder.
 ///
 /// Recording is wait-free and allocation-free: a bounds check and a `Vec`
-/// push into pre-reserved capacity. Disabled recorders cost one relaxed
-/// load per call, so instrumentation can stay compiled-in.
+/// push into pre-reserved capacity. Disabled recorders cost one branch per
+/// call, so instrumentation can stay compiled-in.
 ///
 /// ```
 /// use epic_timeline::{Recorder, EventKind};
@@ -30,7 +29,7 @@ struct Buffer {
 /// ```
 pub struct Recorder {
     buffers: TidSlots<Buffer>,
-    enabled: AtomicBool,
+    enabled: bool,
 }
 
 impl Recorder {
@@ -42,15 +41,16 @@ impl Recorder {
                 events: Vec::with_capacity(capacity),
                 dropped: 0,
             }),
-            enabled: AtomicBool::new(true),
+            enabled: true,
         }
     }
 
-    /// A recorder that starts disabled (for throughput-only runs).
+    /// A recorder that records nothing (for throughput-only runs).
     pub fn disabled(max_threads: usize) -> Self {
-        let r = Recorder::new(max_threads, 0);
-        r.enabled.store(false, Ordering::Relaxed);
-        r
+        Recorder {
+            enabled: false,
+            ..Recorder::new(max_threads, 0)
+        }
     }
 
     /// Number of thread slots.
@@ -58,15 +58,10 @@ impl Recorder {
         self.buffers.len()
     }
 
-    /// Globally enables/disables recording.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// True if recording is on.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled
     }
 
     /// Records an interval event. Caller supplies both timestamps (from

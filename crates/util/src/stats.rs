@@ -334,19 +334,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Number of observations at or above `threshold`, at bucket
-    /// resolution: whole buckets whose *lower* edge is ≥ `threshold` (a
-    /// lower bound on the true count unless `threshold` is a power of two,
-    /// where it is exact at bucket granularity).
-    pub fn count_at_least(&self, threshold: u64) -> u64 {
-        if threshold <= 1 {
-            return self.count;
-        }
-        let b = Self::bucket_of(threshold);
-        let start = if threshold == (1u64 << b) { b } else { b + 1 };
-        self.buckets[start.min(self.buckets.len())..].iter().sum()
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -360,16 +347,6 @@ impl LogHistogram {
     /// Resets to empty.
     pub fn clear(&mut self) {
         *self = LogHistogram::new();
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, for reports.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
-            .collect()
     }
 }
 
@@ -583,7 +560,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
@@ -605,10 +581,6 @@ mod tests {
         assert_eq!(h.quantile(0.99), 16_383);
         // p100 is the exact max.
         assert_eq!(h.quantile(1.0), 5_000_000);
-        // "visible" count at a 1ms threshold (not a power of two -> counts
-        // buckets fully above it).
-        assert_eq!(h.count_at_least(1_000_000), 1);
-        assert_eq!(h.count_at_least(1), 100);
     }
 
     #[test]
@@ -661,16 +633,5 @@ mod tests {
         h.clear();
         assert_eq!(h.count(), 0);
         assert_eq!(h.max(), 0);
-    }
-
-    #[test]
-    fn hist_power_of_two_threshold_is_exact() {
-        let mut h = LogHistogram::new();
-        for v in [100u64, 128, 127, 256, 4096] {
-            h.push(v);
-        }
-        // Bucket lower edges: 100->[64), 127->[64), 128->[128), 256, 4096.
-        assert_eq!(h.count_at_least(128), 3);
-        assert_eq!(h.count_at_least(64), 5);
     }
 }

@@ -123,7 +123,7 @@ impl RawSmr for MiniEbr {
         };
         // SAFETY: `ptr` is a live block of this scheme's allocator (retire
         // contract), exclusively ours from unlink to free.
-        unsafe { objs.push_retire(ptr, 0) };
+        unsafe { objs.push(ptr) };
         let total: usize = bag.iter().map(|(_, o)| o.len()).sum();
         drop(bag);
         if total >= self.common.cfg.bag_cap {
