@@ -28,13 +28,13 @@
 use crate::common::SchemeCommon;
 use crate::config::{FreeMode, SmrConfig};
 use crate::retired::RetiredList;
+use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::{RawSmr, SmrKind};
 
 use epic_alloc::{PoolAllocator, Tid};
 use epic_timeline::EventKind;
 use epic_util::{now_ns, CachePadded, TidSlots};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct TokenThread {

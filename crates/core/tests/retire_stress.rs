@@ -9,8 +9,11 @@
 //! free-count exactly 1 per lifetime) and must come back for freeing with
 //! the same header class it was allocated with. Multi-threaded churn with
 //! tiny bags forces constant rotation, scanning, and cross-epoch splicing
-//! through every disposal mode ([`MODES`]); at quiescence the ledger must
-//! balance to zero live blocks with nothing lost.
+//! through every reclaiming scheme and every disposal mode ([`MODES`]);
+//! each op also makes one protected hop to the block it retires, so scans
+//! run against live protections. Reclamation must happen during the
+//! churn, and at quiescence the ledger must balance to zero live blocks
+//! with nothing lost.
 
 use epic_alloc::{
     build_allocator, AllocSnapshot, AllocatorKind, BlockHeader, CostModel, PoolAllocator,
@@ -20,6 +23,7 @@ use epic_smr::{build_smr, FreeMode, SmrConfig, SmrKind};
 
 use std::collections::HashMap;
 use std::ptr::NonNull;
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
 /// Per-block ledger entry: liveness plus the header class observed at
@@ -160,6 +164,12 @@ fn stress(kind: SmrKind, mode: FreeMode, threads: usize, ops_per_thread: usize) 
                     let _ = guard.poll_restart();
                     let size = 32 + (i % 3) * 64; // three size classes in flight
                     let p = guard.alloc(size); // pool-alloc + on_alloc fused
+
+                    // One protected hop per op, on a link to the block about
+                    // to be retired: slot and era schemes publish it, nbr
+                    // polls. A restart is ignored: the block was never shared.
+                    let link = AtomicUsize::new(p.as_ptr() as usize);
+                    let _ = guard.protect_load(i % 8, &link);
                     guard.enter_write_phase(&[p.as_ptr() as usize]);
                     guard.retire(p);
                 }
@@ -167,6 +177,16 @@ fn stress(kind: SmrKind, mode: FreeMode, threads: usize, ops_per_thread: usize) 
             });
         }
     });
+    // Reclamation runs during the churn, not only at teardown, and every
+    // scheme with an epoch, token or era clock has moved it.
+    let run = smr.stats();
+    assert!(
+        run.freed > 0,
+        "{kind:?} {mode:?}: nothing freed before quiescence"
+    );
+    if !matches!(kind, SmrKind::Hp | SmrKind::Nbr | SmrKind::NbrPlus) {
+        assert!(run.epochs > 0, "{kind:?} {mode:?}: the clock never moved");
+    }
     smr.quiesce_and_drain();
 
     let s = smr.stats();
@@ -179,7 +199,7 @@ fn stress(kind: SmrKind, mode: FreeMode, threads: usize, ops_per_thread: usize) 
     assert_eq!(s.garbage, 0, "{kind:?} {mode:?}: garbage gauge unbalanced");
     // Balanced accounting never drives the gauge negative; a clamp here
     // means a double free or double count slipped through.
-    debug_assert_eq!(
+    assert_eq!(
         s.garbage_clamps, 0,
         "{kind:?} {mode:?}: garbage gauge clamped (double-count bug)"
     );
@@ -209,8 +229,14 @@ fn epoch_family_never_double_frees_or_loses_blocks() {
 
 #[test]
 fn token_ring_never_double_frees_or_loses_blocks() {
-    for mode in MODES {
-        stress(SmrKind::TokenPeriodic, mode, 4, 2_000);
+    for kind in [
+        SmrKind::TokenNaive,
+        SmrKind::TokenPassFirst,
+        SmrKind::TokenPeriodic,
+    ] {
+        for mode in MODES {
+            stress(kind, mode, 4, 2_000);
+        }
     }
 }
 

@@ -664,10 +664,6 @@ impl ConcurrentMap for AbTree {
         result
     }
 
-    fn size(&self) -> usize {
-        self.collect_keys().len()
-    }
-
     fn collect_keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
         self.collect_rec(self.entry, &mut out);
@@ -689,10 +685,6 @@ impl ConcurrentMap for AbTree {
         } else {
             Err(report.join("; "))
         }
-    }
-
-    fn ds_name(&self) -> &'static str {
-        "abtree"
     }
 
     fn smr(&self) -> &Smr {
@@ -717,6 +709,8 @@ mod tests {
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
     use epic_smr::{build_smr, SmrConfig, SmrKind};
 
+    crate::conformance::conformance_suite!(Ab);
+
     /// Limbo-bag capacity of every test tree.
     const BAG_CAP: usize = 32;
 
@@ -729,23 +723,6 @@ mod tests {
     #[test]
     fn node_is_one_fat_block() {
         assert!(std::mem::size_of::<Node>() > 128 && std::mem::size_of::<Node>() <= 256);
-    }
-
-    #[test]
-    fn sequential_semantics() {
-        let t = tree(SmrKind::Debra, 1);
-        let h = t.smr().register(0);
-        assert!(t.insert(&h, 10, 100));
-        assert!(!t.insert(&h, 10, 101));
-        assert!(t.insert(&h, 20, 200));
-        assert!(t.insert(&h, 5, 50));
-        assert_eq!(t.get(&h, 10), Some(100));
-        assert_eq!(t.get(&h, 99), None);
-        assert_eq!(t.collect_keys(), vec![5, 10, 20]);
-        assert!(t.remove(&h, 10));
-        assert!(!t.remove(&h, 10));
-        assert_eq!(t.collect_keys(), vec![5, 20]);
-        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -818,78 +795,6 @@ mod tests {
         assert!(
             (0.5..=2.5).contains(&per_op),
             "expected ~1-2 allocs/op, measured {per_op:.2}"
-        );
-    }
-
-    #[test]
-    fn concurrent_stress_every_scheme() {
-        for kind in SmrKind::ALL {
-            let t = Arc::new(tree(kind, 4));
-            let handles: Vec<_> = (0..4usize)
-                .map(|tid| {
-                    let t = Arc::clone(&t);
-                    std::thread::spawn(move || {
-                        let h = t.smr().register(tid);
-                        let base = tid as u64;
-                        for round in 0..300u64 {
-                            for i in 0..8u64 {
-                                let k = base + 4 * (i + 8 * (round % 3));
-                                if round % 2 == 0 {
-                                    t.insert(&h, k, k + 1);
-                                } else {
-                                    t.remove(&h, k);
-                                }
-                            }
-                            for i in 0..8u64 {
-                                let _ = t.get(&h, i * 13 % 97);
-                            }
-                        }
-                        crate::churn_until_freed(&*t, &h, 4 * BAG_CAP as u64);
-                        h.detach();
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            t.check_invariants()
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            let mut oracle = std::collections::BTreeSet::new();
-            for tid in 0..4u64 {
-                for round in 0..300u64 {
-                    for i in 0..8u64 {
-                        let k = tid + 4 * (i + 8 * (round % 3));
-                        if round % 2 == 0 {
-                            oracle.insert(k);
-                        } else {
-                            oracle.remove(&k);
-                        }
-                    }
-                }
-            }
-            let want: Vec<u64> = oracle.into_iter().collect();
-            assert_eq!(t.collect_keys(), want, "{kind:?} diverged from oracle");
-        }
-    }
-
-    #[test]
-    fn drop_frees_all_pool_blocks() {
-        let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
-        let cfg = SmrConfig::new(1).with_bag_cap(16);
-        {
-            let t = AbTree::new(build_smr(SmrKind::Debra, Arc::clone(&alloc), cfg));
-            let h = t.smr().register(0);
-            for k in 0..300 {
-                t.insert(&h, k, k);
-            }
-            for k in 100..200 {
-                t.remove(&h, k);
-            }
-        }
-        let snap = alloc.snapshot();
-        assert_eq!(
-            snap.totals.allocs, snap.totals.deallocs,
-            "node leak at drop"
         );
     }
 }

@@ -380,10 +380,6 @@ impl ConcurrentMap for DgtTree {
         result
     }
 
-    fn size(&self) -> usize {
-        self.collect_keys().len()
-    }
-
     fn collect_keys(&self) -> Vec<u64> {
         let mut out = Vec::new();
         self.size_rec(self.g0, &mut out);
@@ -405,10 +401,6 @@ impl ConcurrentMap for DgtTree {
         } else {
             Err(report.join("; "))
         }
-    }
-
-    fn ds_name(&self) -> &'static str {
-        "dgttree"
     }
 
     fn smr(&self) -> &Smr {
@@ -434,6 +426,8 @@ mod tests {
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
     use epic_smr::{build_smr, SmrConfig, SmrKind};
 
+    crate::conformance::conformance_suite!(Dgt);
+
     /// Limbo-bag capacity of every test tree.
     const BAG_CAP: usize = 32;
 
@@ -441,43 +435,6 @@ mod tests {
         let alloc = build_allocator(AllocatorKind::Sys, threads, CostModel::zero());
         let cfg = SmrConfig::new(threads).with_bag_cap(BAG_CAP);
         DgtTree::new(build_smr(kind, alloc, cfg))
-    }
-
-    #[test]
-    fn sequential_semantics() {
-        let t = tree(SmrKind::Debra, 1);
-        let h = t.smr().register(0);
-        assert!(!t.contains(&h, 5));
-        assert!(t.insert(&h, 5, 50));
-        assert!(!t.insert(&h, 5, 51), "duplicate insert");
-        assert_eq!(t.get(&h, 5), Some(50));
-        assert!(t.insert(&h, 3, 30));
-        assert!(t.insert(&h, 8, 80));
-        assert_eq!(t.collect_keys(), vec![3, 5, 8]);
-        assert!(t.remove(&h, 5));
-        assert!(!t.remove(&h, 5), "double remove");
-        assert_eq!(t.collect_keys(), vec![3, 8]);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn empty_then_refill() {
-        let t = tree(SmrKind::Rcu, 1);
-        let h = t.smr().register(0);
-        for k in 0..64 {
-            assert!(t.insert(&h, k, k));
-        }
-        for k in 0..64 {
-            assert!(t.remove(&h, k));
-        }
-        assert_eq!(t.size(), 0);
-        t.check_invariants().unwrap();
-        for k in (0..64).rev() {
-            assert!(t.insert(&h, k, k * 2));
-        }
-        assert_eq!(t.size(), 64);
-        assert_eq!(t.get(&h, 10), Some(20));
-        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -490,102 +447,5 @@ mod tests {
         t.remove(&h, 1);
         assert_eq!(t.smr().stats().retired - retired_before, 2);
         assert_eq!(t.frees_per_delete_hint(), 2);
-    }
-
-    #[test]
-    fn concurrent_stress_every_scheme() {
-        // 4 threads hammer disjoint+overlapping ranges under every scheme;
-        // afterwards the survivors must match a sequential replay oracle
-        // keyed by deterministic per-thread patterns.
-        for kind in SmrKind::ALL {
-            let t = Arc::new(tree(kind, 4));
-            let handles: Vec<_> = (0..4usize)
-                .map(|tid| {
-                    let t = Arc::clone(&t);
-                    std::thread::spawn(move || {
-                        let h = t.smr().register(tid);
-                        // Each thread owns keys ≡ tid (mod 4): no cross-thread
-                        // interference on ownership, full interference on
-                        // structure.
-                        let base = tid as u64;
-                        for round in 0..300u64 {
-                            for i in 0..8u64 {
-                                let k = base + 4 * (i + 8 * (round % 3));
-                                if round % 2 == 0 {
-                                    t.insert(&h, k, k + 1);
-                                } else {
-                                    t.remove(&h, k);
-                                }
-                            }
-                            // Reads over the whole space.
-                            for i in 0..8u64 {
-                                let _ = t.get(&h, i * 13 % 97);
-                            }
-                        }
-                        crate::churn_until_freed(&*t, &h, 4 * BAG_CAP as u64);
-                        h.detach();
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            t.check_invariants()
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            // Survivor check: round 599 was odd (deletes of round-2 keys);
-            // replay sequentially.
-            let mut oracle = std::collections::BTreeSet::new();
-            for tid in 0..4u64 {
-                for round in 0..300u64 {
-                    for i in 0..8u64 {
-                        let k = tid + 4 * (i + 8 * (round % 3));
-                        if round % 2 == 0 {
-                            oracle.insert(k);
-                        } else {
-                            oracle.remove(&k);
-                        }
-                    }
-                }
-            }
-            let got = t.collect_keys();
-            let want: Vec<u64> = oracle.into_iter().collect();
-            assert_eq!(got, want, "{kind:?} diverged from oracle");
-        }
-    }
-
-    #[test]
-    fn reclamation_happens_under_churn() {
-        let t = tree(SmrKind::Debra, 1);
-        let h = t.smr().register(0);
-        for round in 0..2_000u64 {
-            t.insert(&h, round % 16, round);
-            t.remove(&h, round % 16);
-        }
-        let s = t.smr().stats();
-        assert!(s.retired > 3_000, "churn retires: {s:?}");
-        assert!(s.freed > 2_000, "and reclaims: {s:?}");
-    }
-
-    #[test]
-    fn drop_frees_all_pool_blocks() {
-        let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
-        let cfg = SmrConfig::new(1).with_bag_cap(16);
-        {
-            let t = DgtTree::new(build_smr(SmrKind::Debra, Arc::clone(&alloc), cfg));
-            let h = t.smr().register(0);
-            for k in 0..100 {
-                t.insert(&h, k, k);
-            }
-            for k in 0..50 {
-                t.remove(&h, k);
-            }
-        }
-        // Tree dropped: every allocated block must be back (Sys model
-        // tracks live bytes; allocs == deallocs means no leak).
-        let snap = alloc.snapshot();
-        assert_eq!(
-            snap.totals.allocs, snap.totals.deallocs,
-            "node leak at drop"
-        );
     }
 }

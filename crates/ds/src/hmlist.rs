@@ -313,10 +313,6 @@ impl ConcurrentMap for HmList {
         result
     }
 
-    fn size(&self) -> usize {
-        self.collect_keys().len()
-    }
-
     fn collect_keys(&self) -> Vec<u64> {
         // Quiescent walk; skip logically deleted (marked) stragglers.
         let mut out = Vec::new();
@@ -369,10 +365,6 @@ impl ConcurrentMap for HmList {
         }
     }
 
-    fn ds_name(&self) -> &'static str {
-        "hmlist"
-    }
-
     fn smr(&self) -> &Smr {
         &self.smr
     }
@@ -397,6 +389,8 @@ mod tests {
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
     use epic_smr::{build_smr, SmrConfig, SmrKind};
 
+    crate::conformance::conformance_suite!(Hm);
+
     /// Limbo-bag capacity of every test list.
     const BAG_CAP: usize = 32;
 
@@ -404,57 +398,6 @@ mod tests {
         let alloc = build_allocator(AllocatorKind::Sys, threads, CostModel::zero());
         let cfg = SmrConfig::new(threads).with_bag_cap(BAG_CAP);
         HmList::new(build_smr(kind, alloc, cfg))
-    }
-
-    #[test]
-    fn sequential_semantics() {
-        let l = list(SmrKind::Debra, 1);
-        let h = l.smr().register(0);
-        assert!(!l.contains(&h, 5));
-        assert!(l.insert(&h, 5, 50));
-        assert!(!l.insert(&h, 5, 51), "duplicate insert");
-        assert_eq!(l.get(&h, 5), Some(50));
-        assert!(l.insert(&h, 3, 30));
-        assert!(l.insert(&h, 8, 80));
-        assert_eq!(l.collect_keys(), vec![3, 5, 8]);
-        assert!(l.remove(&h, 5));
-        assert!(!l.remove(&h, 5), "double remove");
-        assert_eq!(l.collect_keys(), vec![3, 8]);
-        l.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn ordered_insertion_any_order() {
-        let l = list(SmrKind::Rcu, 1);
-        let h = l.smr().register(0);
-        for k in [9u64, 1, 7, 3, 5, 2, 8, 4, 6] {
-            assert!(l.insert(&h, k, k * 10));
-        }
-        assert_eq!(l.collect_keys(), (1..=9).collect::<Vec<_>>());
-        for k in 1..=9 {
-            assert_eq!(l.get(&h, k), Some(k * 10));
-        }
-        l.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn empty_then_refill() {
-        let l = list(SmrKind::Qsbr, 1);
-        let h = l.smr().register(0);
-        for k in 1..=64 {
-            assert!(l.insert(&h, k, k));
-        }
-        for k in 1..=64 {
-            assert!(l.remove(&h, k));
-        }
-        assert_eq!(l.size(), 0);
-        l.check_invariants().unwrap();
-        for k in (1..=64).rev() {
-            assert!(l.insert(&h, k, k * 2));
-        }
-        assert_eq!(l.size(), 64);
-        assert_eq!(l.get(&h, 10), Some(20));
-        l.check_invariants().unwrap();
     }
 
     #[test]
@@ -467,94 +410,6 @@ mod tests {
         l.remove(&h, 1);
         assert_eq!(l.smr().stats().retired - before, 1);
         assert_eq!(l.frees_per_delete_hint(), 1);
-    }
-
-    #[test]
-    fn concurrent_stress_every_scheme() {
-        for kind in SmrKind::ALL {
-            let l = Arc::new(list(kind, 4));
-            let handles: Vec<_> = (0..4usize)
-                .map(|tid| {
-                    let l = Arc::clone(&l);
-                    std::thread::spawn(move || {
-                        let h = l.smr().register(tid);
-                        // Keys ≡ tid (mod 4), shifted to avoid key 0.
-                        let base = tid as u64 + 1;
-                        for round in 0..200u64 {
-                            for i in 0..8u64 {
-                                let k = base + 4 * (i + 8 * (round % 3));
-                                if round % 2 == 0 {
-                                    l.insert(&h, k, k + 1);
-                                } else {
-                                    l.remove(&h, k);
-                                }
-                            }
-                            for i in 1..8u64 {
-                                let _ = l.get(&h, i * 13 % 97 + 1);
-                            }
-                        }
-                        crate::churn_until_freed(&*l, &h, 4 * BAG_CAP as u64);
-                        h.detach();
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            l.check_invariants()
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            // Sequential replay oracle (per-thread keys are disjoint).
-            let mut oracle = std::collections::BTreeSet::new();
-            for tid in 0..4u64 {
-                for round in 0..200u64 {
-                    for i in 0..8u64 {
-                        let k = tid + 1 + 4 * (i + 8 * (round % 3));
-                        if round % 2 == 0 {
-                            oracle.insert(k);
-                        } else {
-                            oracle.remove(&k);
-                        }
-                    }
-                }
-            }
-            let got = l.collect_keys();
-            let want: Vec<u64> = oracle.into_iter().collect();
-            assert_eq!(got, want, "{kind:?} diverged from oracle");
-        }
-    }
-
-    #[test]
-    fn reclamation_happens_under_churn() {
-        let l = list(SmrKind::Debra, 1);
-        let h = l.smr().register(0);
-        for round in 0..2_000u64 {
-            l.insert(&h, round % 16 + 1, round);
-            l.remove(&h, round % 16 + 1);
-        }
-        let s = l.smr().stats();
-        assert!(s.retired > 1_500, "churn retires: {s:?}");
-        assert!(s.freed > 1_000, "and reclaims: {s:?}");
-    }
-
-    #[test]
-    fn drop_frees_all_pool_blocks() {
-        let alloc = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
-        let cfg = SmrConfig::new(1).with_bag_cap(16);
-        {
-            let l = HmList::new(build_smr(SmrKind::Debra, Arc::clone(&alloc), cfg));
-            let h = l.smr().register(0);
-            for k in 1..=100 {
-                l.insert(&h, k, k);
-            }
-            for k in 1..=50 {
-                l.remove(&h, k);
-            }
-        }
-        let snap = alloc.snapshot();
-        assert_eq!(
-            snap.totals.allocs, snap.totals.deallocs,
-            "node leak at drop"
-        );
     }
 
     #[test]
@@ -592,20 +447,5 @@ mod tests {
         // Teardown still returns every allocator block exactly once.
         let a = alloc.snapshot().totals;
         assert_eq!(a.allocs, a.deallocs, "pooled blocks leaked at drop");
-    }
-
-    #[test]
-    fn key_zero_is_usable() {
-        // The head sentinel's key field is never compared, so the full
-        // [0, MAX_KEY] space is usable.
-        let l = list(SmrKind::Debra, 1);
-        let h = l.smr().register(0);
-        assert!(l.insert(&h, 0, 7));
-        assert_eq!(l.get(&h, 0), Some(7));
-        assert!(l.insert(&h, MAX_KEY, 9));
-        assert_eq!(l.collect_keys(), vec![0, MAX_KEY]);
-        assert!(l.remove(&h, 0));
-        assert_eq!(l.collect_keys(), vec![MAX_KEY]);
-        l.check_invariants().unwrap();
     }
 }

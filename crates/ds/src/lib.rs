@@ -40,6 +40,8 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod abtree;
+#[cfg(test)]
+mod conformance;
 pub mod dgt;
 pub mod hmlist;
 pub mod occ;
@@ -82,7 +84,9 @@ pub trait ConcurrentMap: Send + Sync {
     }
 
     /// Number of keys (quiescent).
-    fn size(&self) -> usize;
+    fn size(&self) -> usize {
+        self.collect_keys().len()
+    }
 
     /// All keys in ascending order (quiescent).
     fn collect_keys(&self) -> Vec<u64>;
@@ -90,9 +94,6 @@ pub trait ConcurrentMap: Send + Sync {
     /// Structural invariant check (quiescent); `Err` describes the first
     /// violation found.
     fn check_invariants(&self) -> Result<(), String>;
-
-    /// Data-structure name for reports.
-    fn ds_name(&self) -> &'static str;
 
     /// The reclamation scheme in use.
     fn smr(&self) -> &Smr;
@@ -195,45 +196,6 @@ pub(crate) unsafe fn free_node_quiescent<T>(alloc: &Arc<dyn PoolAllocator>, node
     unsafe {
         alloc.dealloc(0, std::ptr::NonNull::new_unchecked(node as *mut u8));
     }
-}
-
-/// Test helper for the four `concurrent_stress_every_scheme` loops: after
-/// a worker's scripted rounds, keeps inserting and removing one of its own
-/// keys above the scripted range (so the final key set, and the replay
-/// oracle, do not change) until the scheme has freed `want` blocks, and
-/// panics naming the scheme if 100 000 pairs were not enough; the leaky
-/// `None` is skipped. This is what makes a sanitized run of those loops
-/// exercise real frees. Several schemes try to reclaim only when a bag
-/// fills on retire, and the epoch and token schemes only once every live
-/// thread has passed a quiescent point; with four workers on two CPUs one
-/// preempted worker can stall that through all the scripted rounds
-/// (without the churn, QSBR freed nothing in about 1 of 40 runs, and RCU
-/// freed under 100 blocks in 3 of 40 runs beside a busy loop). Each check
-/// that falls short yields the CPU: an optimised build spends the whole
-/// budget in about 10 ms, less than the scheduler takes to run a
-/// descheduled peer, which would otherwise keep pinning the epoch.
-#[cfg(test)]
-pub(crate) fn churn_until_freed(map: &dyn ConcurrentMap, h: &SmrHandle, want: u64) {
-    let smr = map.smr();
-    if smr.kind() == epic_smr::SmrKind::None {
-        return;
-    }
-    for i in 0..100_000u64 {
-        if i % 64 == 0 {
-            if smr.stats().freed >= want {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let key = 1_000 + 4 * (i % 8) + h.tid() as u64;
-        map.insert(h, key, key);
-        map.remove(h, key);
-    }
-    panic!(
-        "{:?} freed {} blocks, fewer than {want}",
-        smr.kind(),
-        smr.stats().freed
-    );
 }
 
 #[cfg(test)]

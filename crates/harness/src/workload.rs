@@ -210,7 +210,7 @@ pub fn run_trial(cfg: &WorkloadCfg) -> TrialResult {
 
     TrialResult {
         scheme,
-        tree: tree.ds_name(),
+        tree: cfg.tree.name(),
         ops,
         wall_ns,
         throughput: ops as f64 / (wall_ns as f64 / 1e9),
