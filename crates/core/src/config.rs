@@ -71,7 +71,7 @@ impl FreeMode {
         matches!(self, FreeMode::Amortized { .. })
     }
 
-    /// Parses a mode name as runbooks spell it: `"batch"`,
+    /// Parses a mode name: `"batch"`,
     /// `"amortized"`/`"af"` (per_op 1), `"background"`/`"bg"`,
     /// `"pooled"`/`"pool"`. The error names the accepted spellings.
     pub fn parse(s: &str) -> Result<FreeMode, String> {

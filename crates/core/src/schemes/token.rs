@@ -90,8 +90,14 @@ impl TokenSmr {
     /// Passes the token to the next live thread in the ring; a token is
     /// dropped when every other thread has detached (the ring is dissolving
     /// at workload shutdown, where `quiesce_and_drain` takes over).
+    ///
+    /// A hand-off that wraps (`next <= tid`) closes one lap of the *live*
+    /// ring: that is the global "epoch", counted by whichever thread closes
+    /// it, so epochs (and the garbage series they sample) keep rising
+    /// whichever threads have detached. `epoch` is the passer's receipt
+    /// count, the x value of the mark and the garbage sample.
     #[inline]
-    fn pass(&self, tid: Tid) {
+    fn pass(&self, tid: Tid, epoch: u64) {
         let n = self.tokens.len();
         let mut next = (tid + 1) % n;
         let mut hops = 0;
@@ -105,6 +111,9 @@ impl TokenSmr {
         // Release: the passing thread's bag swap must be visible before the
         // receiver observes the token.
         self.tokens[next].fetch_add(1, Ordering::Release);
+        if next <= tid {
+            self.common.record_epoch_advance(tid, epoch);
+        }
     }
 
     /// True if `tid` currently holds (at least) one token.
@@ -121,11 +130,6 @@ impl TokenSmr {
             .cfg
             .recorder
             .mark(tid, EventKind::TokenReceive, state.epochs_entered);
-        // Count a global "epoch" per full circulation, observed at thread 0
-        // (also samples the garbage series — the paper's lower panels).
-        if tid == 0 {
-            self.common.record_epoch_advance(tid, state.epochs_entered);
-        }
 
         match self.kind {
             SmrKind::TokenNaive => {
@@ -133,16 +137,16 @@ impl TokenSmr {
                 // thread cannot reclaim until we finish (garbage pile-up).
                 self.common.dispose(tid, &mut state.previous);
                 std::mem::swap(&mut state.current, &mut state.previous);
-                self.pass(tid);
+                self.pass(tid, state.epochs_entered);
             }
             SmrKind::TokenPassFirst => {
-                self.pass(tid);
+                self.pass(tid, state.epochs_entered);
                 self.common.dispose(tid, &mut state.previous);
                 std::mem::swap(&mut state.current, &mut state.previous);
             }
             _ => {
                 // `token`.
-                self.pass(tid);
+                self.pass(tid, state.epochs_entered);
                 match self.common.cfg.mode {
                     FreeMode::Amortized { .. } | FreeMode::Background | FreeMode::Pooled => {
                         // token_af: absorb into the freeable list (O(1));
@@ -184,10 +188,7 @@ impl TokenSmr {
                 // safe and keeps the ring moving.
                 state.consumed += 1;
                 state.epochs_entered += 1;
-                self.pass(tid);
-                if tid == 0 {
-                    self.common.record_epoch_advance(tid, state.epochs_entered);
-                }
+                self.pass(tid, state.epochs_entered);
             }
         }
         let t1 = now_ns();
@@ -235,7 +236,7 @@ impl RawSmr for TokenSmr {
         let state = unsafe { self.threads.get_mut(tid) };
         while self.holds_token(tid, state.consumed) {
             state.consumed += 1;
-            self.pass(tid);
+            self.pass(tid, state.epochs_entered);
         }
     }
 
@@ -363,7 +364,13 @@ mod tests {
                     .map(|tid| {
                         let smr = Arc::clone(&smr);
                         let alloc = Arc::clone(&alloc);
-                        std::thread::spawn(move || churn(&alloc, &smr, tid, 3_000))
+                        // Workers leave the ring as run_trial's do: a
+                        // finished worker that never detaches strands the
+                        // token, and no lap closes after it.
+                        std::thread::spawn(move || {
+                            churn(&alloc, &smr, tid, 3_000);
+                            smr.detach(tid);
+                        })
                     })
                     .collect();
                 for h in handles {
@@ -377,6 +384,49 @@ mod tests {
                 assert!(s.epochs > 0, "{kind:?} {mode:?}: token should circulate");
             }
         }
+    }
+
+    /// Thread 0 detaches early and threads 1 and 2 keep operating: the
+    /// live ring still closes laps, so `epochs` keeps rising and
+    /// reclamation keeps going.
+    fn laps_count_after_tid0_detaches(kind: SmrKind) {
+        let (alloc, smr) = setup(3, kind, FreeMode::Batch);
+        for tid in [0, 1, 2, 0, 1, 2] {
+            churn(&alloc, &smr, tid, 1);
+        }
+        smr.detach(0);
+        let mut last = smr.stats();
+        for round in 0..4 {
+            for _ in 0..50 {
+                churn(&alloc, &smr, 1, 1);
+                churn(&alloc, &smr, 2, 1);
+            }
+            let now = smr.stats();
+            assert!(
+                now.epochs > last.epochs,
+                "{kind:?} round {round}: epochs froze at {}",
+                now.epochs
+            );
+            assert!(now.freed > last.freed, "{kind:?} round {round}: {now:?}");
+            last = now;
+        }
+        smr.quiesce_and_drain();
+        assert_eq!(smr.stats().garbage, 0);
+    }
+
+    #[test]
+    fn naive_laps_count_after_tid0_detaches() {
+        laps_count_after_tid0_detaches(SmrKind::TokenNaive);
+    }
+
+    #[test]
+    fn passfirst_laps_count_after_tid0_detaches() {
+        laps_count_after_tid0_detaches(SmrKind::TokenPassFirst);
+    }
+
+    #[test]
+    fn periodic_laps_count_after_tid0_detaches() {
+        laps_count_after_tid0_detaches(SmrKind::TokenPeriodic);
     }
 
     #[test]

@@ -2,17 +2,15 @@
 //! the paper-shape oracles — serially or as parallel child processes.
 //!
 //! ```text
-//! epic-run list                      # id + cost + origin
+//! epic-run list                      # id + cost
 //! epic-run list --json               # machine-readable registry (ids, costs,
-//!                                    #   origins, seeds, provenance hashes)
-//! epic-run list --origin runbook     # only runbook-generated scenario cells
+//!                                    #   provenance hashes)
 //! epic-run fig11a_experiment1        # run one experiment in-process
 //! epic-run all                       # the full evaluation, serial
 //! epic-run check                     # run everything + evaluate every oracle
 //! epic-run check table3_allocators fig11b_experiment2
 //! epic-run check all -j 4            # process-isolated, 4 worker slots
 //! epic-run replay <hash> [--against results/SHAPES.json]  # re-run by provenance
-//! EPIC_RUNBOOK=runbooks/smoke.json epic-run check all -j 2  # scenario sweep
 //! EPIC_MILLIS=5000 EPIC_TRIALS=3 epic-run check all -j $(nproc)  # paper-scale
 //! ```
 //!
@@ -25,23 +23,14 @@
 //! EPIC_TRIALS)`; `epic-run <id>` stays serial and in-process, so
 //! single-experiment debugging is unchanged.
 
-use epic_harness::experiments::{
-    all_experiments, experiment_by_name, run_by_name, Experiment, ExperimentRun,
-};
+use epic_harness::experiments::{all_experiments, experiment_by_name, run_by_name, Experiment};
 use epic_harness::oracle::{evaluate, render_verdict_table};
+use epic_harness::provenance::provenance_hash;
 use epic_harness::runner;
-use epic_harness::scenario;
 use epic_harness::shapes::{ShapeRecord, ShapesDoc};
 use std::time::Instant;
 
 fn main() {
-    // A broken EPIC_RUNBOOK is a hard startup error for every subcommand:
-    // silently running without the generated cells would make `check`
-    // pass while skipping the scenarios the caller asked for.
-    if let Err(e) = scenario::load_active_runbook() {
-        eprintln!("epic-run: {e}");
-        std::process::exit(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rest: Vec<&str> = args.iter().skip(1).map(String::as_str).collect();
     match args.first().map(String::as_str) {
@@ -78,7 +67,6 @@ struct CheckOpts {
     ids: Vec<String>,
     jobs: usize,
     json: bool,
-    origin: Option<String>,
 }
 
 fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
@@ -86,7 +74,6 @@ fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
         ids: Vec::new(),
         jobs: 1,
         json: false,
-        origin: None,
     };
     let mut it = rest.iter();
     while let Some(&arg) = it.next() {
@@ -105,15 +92,6 @@ fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
                     .ok_or_else(|| format!("bad {arg} '{v}' (expected a count >= 1)"))?;
             }
             "--json" => opts.json = true,
-            "--origin" => {
-                let v = value_of(arg)?;
-                if v != "builtin" && v != "runbook" {
-                    return Err(format!(
-                        "bad --origin '{v}' (expected 'builtin' or 'runbook')"
-                    ));
-                }
-                opts.origin = Some(v.to_string());
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
             id => opts.ids.push(id.to_string()),
         }
@@ -122,31 +100,24 @@ fn parse_check_opts(rest: &[&str]) -> Result<CheckOpts, String> {
 }
 
 /// Resolves ids (empty / `all` = full registry, repeats collapse to the
-/// first occurrence), applies the origin filter. `Err` carries the exit
-/// code (2, after diagnostics).
+/// first occurrence). `Err` carries the exit code (2, after diagnostics).
 fn select(opts: &CheckOpts) -> Result<Vec<Experiment>, i32> {
-    let registry = all_experiments();
-    let mut selected = if opts.ids.is_empty() || opts.ids.iter().any(|s| s == "all") {
-        registry
-    } else {
-        let mut picked: Vec<Experiment> = Vec::new();
-        for want in &opts.ids {
-            match experiment_by_name(want) {
-                // Dedup: the job engine keys per-child artifacts by id.
-                Some(e) if picked.iter().any(|p| p.id == e.id) => {}
-                Some(e) => picked.push(e),
-                None => {
-                    unknown_experiment(want);
-                    return Err(2);
-                }
+    if opts.ids.is_empty() || opts.ids.iter().any(|s| s == "all") {
+        return Ok(all_experiments());
+    }
+    let mut picked: Vec<Experiment> = Vec::new();
+    for want in &opts.ids {
+        match experiment_by_name(want) {
+            // Dedup: the job engine keys per-child artifacts by id.
+            Some(e) if picked.iter().any(|p| p.id == e.id) => {}
+            Some(e) => picked.push(e),
+            None => {
+                unknown_experiment(want);
+                return Err(2);
             }
         }
-        picked
-    };
-    if let Some(origin) = opts.origin.as_deref() {
-        selected.retain(|e| matches!(e.run, ExperimentRun::Builtin(_)) == (origin == "builtin"));
     }
-    Ok(selected)
+    Ok(picked)
 }
 
 fn run_list(rest: &[&str]) -> i32 {
@@ -187,23 +158,16 @@ fn write_list(
     )?;
     let width = selected.iter().map(|e| e.id.len()).max().unwrap_or(0);
     for e in selected {
-        writeln!(
-            out,
-            "  {:<width$}  cost {:>3}  {}",
-            e.id,
-            e.cost,
-            e.origin()
-        )?;
+        writeln!(out, "  {:<width$}  cost {:>3}", e.id, e.cost)?;
     }
     Ok(())
 }
 
-/// The selection as a JSON array: id, cost, origin, and the provenance
-/// hash each entry would stamp if run right now; scenario cells also
-/// carry their derived seed. Every field is an id-safe/hex token, so the
-/// literal formatting below needs no escaping. Two processes with the
-/// same runbook, toolchain, git rev, and `EPIC_*` environment must
-/// produce byte-identical output (pinned by the `scenario_cli` test).
+/// The selection as a JSON array: id, cost, and the provenance hash each
+/// entry would stamp if run right now. Every field is an id-safe/hex
+/// token, so the literal formatting below needs no escaping. Two
+/// processes with the same toolchain, git rev, and `EPIC_*` environment
+/// must produce byte-identical output (pinned by the `scenario_cli` test).
 fn registry_json(selected: &[Experiment]) -> String {
     let mut out = String::from("[");
     for (i, e) in selected.iter().enumerate() {
@@ -211,16 +175,11 @@ fn registry_json(selected: &[Experiment]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n  {{\"id\": \"{}\", \"cost\": {}, \"origin\": \"{}\", \"provenance\": \"{}\"",
+            "\n  {{\"id\": \"{}\", \"cost\": {}, \"provenance\": \"{}\"}}",
             e.id,
             e.cost,
-            e.origin(),
-            scenario::provenance_hash(e)
+            provenance_hash(&e.id)
         ));
-        if let ExperimentRun::Scenario(cell) = &e.run {
-            out.push_str(&format!(", \"seed\": {}", cell.seed));
-        }
-        out.push('}');
     }
     out.push_str("\n]");
     out
@@ -246,16 +205,6 @@ fn run_check(rest: &[&str]) -> i32 {
         Ok(s) => s,
         Err(code) => return code,
     };
-    // A `check` that runs nothing must not report green: an id/origin
-    // combination that selects nothing would silently pass the CI gate.
-    if selected.is_empty() {
-        eprintln!(
-            "check: the selection is empty (ids {:?}, origin {:?}) — refusing to pass a run \
-             that exercised nothing; use `epic-run list [--origin O]` to inspect it",
-            opts.ids, opts.origin
-        );
-        return 2;
-    }
     let doc = if opts.jobs <= 1 {
         Ok(check_serial(&selected))
     } else {
@@ -353,24 +302,16 @@ fn run_replay(rest: &[&str]) -> i32 {
         }
     };
     let registry = all_experiments();
-    let Some(e) = registry
-        .iter()
-        .find(|e| scenario::provenance_hash(e) == hash)
-    else {
+    let Some(e) = registry.iter().find(|e| provenance_hash(&e.id) == hash) else {
         eprintln!(
             "replay: no registry entry reproduces provenance hash '{hash}'.\n\
-             The hash covers the experiment id, runbook content, toolchain, git revision,\n\
-             and EPIC_* overrides — recreate that environment (same checkout, same\n\
-             EPIC_RUNBOOK file, same EPIC_* variables) and retry. `epic-run list --json`\n\
-             shows the hash every current entry would stamp."
+             The hash covers the experiment id, toolchain, git revision, and EPIC_*\n\
+             overrides — recreate that environment (same checkout, same EPIC_* variables)\n\
+             and retry. `epic-run list --json` shows the hash every current entry would stamp."
         );
         return 2;
     };
-    println!(
-        "replay: {} (origin {}, provenance {hash})",
-        e.id,
-        e.origin()
-    );
+    println!("replay: {} (provenance {hash})", e.id);
     let result = e.execute();
     let fresh = result.provenance.clone().unwrap_or_default();
     if fresh != hash {

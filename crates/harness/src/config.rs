@@ -20,29 +20,13 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
-    /// A short id token (`"u"`, `"z099"`), used in generated scenario ids.
+    /// A short label token (`"u"`, `"z099"`), used in scenario cell labels.
     pub fn token(&self) -> String {
         match self {
             KeyDist::Uniform => "u".to_string(),
             KeyDist::Zipf { theta } => format!("z{:03}", (theta * 100.0).round() as u32),
         }
     }
-}
-
-/// When operations arrive at the structure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arrival {
-    /// Back-to-back operations (the paper's workload).
-    Steady,
-    /// Duty-cycled bursts: each worker performs `on_ops` operations,
-    /// then idles `off_micros` before the next burst. Op-count based
-    /// (not timer based) so budgeted trials stay deterministic.
-    Bursty {
-        /// Operations per burst.
-        on_ops: u64,
-        /// Idle gap between bursts, in microseconds.
-        off_micros: u64,
-    },
 }
 
 /// Everything one trial needs.
@@ -102,13 +86,11 @@ pub struct WorkloadCfg {
     pub op_budget: Option<u64>,
     /// Trial seed, XOR-mixed into every worker's per-thread RNG seed.
     /// 0 (the default) reproduces the pre-scenario per-thread streams
-    /// bit for bit; scenario cells derive a distinct value from the
-    /// runbook seed (see `crate::scenario`).
+    /// bit for bit; scenario cells derive a distinct value from their
+    /// label (see `crate::scenario`).
     pub seed: u64,
     /// Key distribution (uniform or Zipf-skewed).
     pub key_dist: KeyDist,
-    /// Arrival pattern (steady or duty-cycled bursts).
-    pub arrival: Arrival,
     /// Handle churn: every worker detaches its [`epic_smr::SmrHandle`]
     /// and re-registers after this many operations — the register/detach
     /// storm scenario the hand-coded experiments cannot express.
@@ -143,7 +125,6 @@ impl WorkloadCfg {
             op_budget: None,
             seed: 0,
             key_dist: KeyDist::Uniform,
-            arrival: Arrival::Steady,
             churn_every_ops: None,
         }
     }
@@ -164,12 +145,6 @@ impl WorkloadCfg {
     /// Sets the key distribution.
     pub fn with_key_dist(mut self, dist: KeyDist) -> Self {
         self.key_dist = dist;
-        self
-    }
-
-    /// Sets the arrival pattern.
-    pub fn with_arrival(mut self, arrival: Arrival) -> Self {
-        self.arrival = arrival;
         self
     }
 
@@ -294,17 +269,12 @@ pub(crate) fn env_trials() -> usize {
     }
 }
 
-/// The key ranges a workload accepts, from runbooks and `EPIC_KEYRANGE`
-/// alike: a runbook value outside it is a parse error, an env value warns
-/// and falls back.
-pub(crate) const KEY_RANGE: std::ops::RangeInclusive<u64> = 2..=1 << 32;
-
 /// `EPIC_KEYRANGE`, read here and nowhere else. A value outside
-/// [`KEY_RANGE`] (`0` would draw from an empty range) warns once and falls
+/// [2, 2^32] (`0` would draw from an empty range) warns once and falls
 /// back to the default of 16 384, like `EPIC_TRIALS=0`.
 fn env_key_range() -> u64 {
     match env_u64("EPIC_KEYRANGE", 16_384) {
-        k if KEY_RANGE.contains(&k) => k,
+        k if (2..=1 << 32).contains(&k) => k,
         k => {
             warn_malformed_env("EPIC_KEYRANGE", &k.to_string(), "u64 in [2, 2^32]");
             16_384
@@ -344,15 +314,10 @@ mod tests {
         let cfg = WorkloadCfg::new(TreeKind::Ab, SmrKind::Debra, 2);
         assert_eq!(cfg.seed, 0);
         assert_eq!(cfg.key_dist, KeyDist::Uniform);
-        assert_eq!(cfg.arrival, Arrival::Steady);
         assert_eq!(cfg.churn_every_ops, None);
         let cfg = cfg
             .with_seed(7)
             .with_key_dist(KeyDist::Zipf { theta: 0.99 })
-            .with_arrival(Arrival::Bursty {
-                on_ops: 256,
-                off_micros: 50,
-            })
             .with_churn(0);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.key_dist, KeyDist::Zipf { theta: 0.99 });

@@ -20,7 +20,9 @@ use crate::oracle::{
     at_least, at_most, crossover_absent, demote_at_millis, fraction_below, monotone_falling,
     monotone_rising, ordering, ratio_at_least, trend_rising, Assertion, Oracle, SMOKE_MILLIS,
 };
+use crate::provenance::provenance_hash;
 use crate::report::{fmt_count, fmt_mops, results_dir, ExperimentResult, Table};
+use crate::scenario;
 use crate::workload::{run_trial, run_trials};
 
 use epic_alloc::{AllocatorKind, MachinePreset};
@@ -1181,16 +1183,6 @@ pub fn ablation_update_ratio(scale: &ExperimentScale, out: &mut ExperimentResult
 /// creates under the row's id, at the scale it detected.
 pub type ExperimentFn = fn(&ExperimentScale, &mut ExperimentResult);
 
-/// How a registry entry runs: a hand-coded paper experiment, or a
-/// runbook-generated scenario cell (see [`crate::scenario`]).
-#[derive(Clone)]
-pub enum ExperimentRun {
-    /// A hand-coded experiment function (the paper tables/figures).
-    Builtin(ExperimentFn),
-    /// A scenario cell generated from the active `EPIC_RUNBOOK`.
-    Scenario(Box<crate::scenario::Cell>),
-}
-
 /// One registry entry: the experiment's stable id, its entry point, a
 /// relative cost hint for schedulers, and the oracle that judges it.
 #[derive(Clone)]
@@ -1198,7 +1190,7 @@ pub struct Experiment {
     /// The stable experiment id (what `epic-run` accepts).
     pub id: String,
     /// The entry point.
-    pub run: ExperimentRun,
+    pub run: ExperimentFn,
     /// Relative cost hint: roughly how many timed trial slices the
     /// experiment runs at default scale (sweep length ≈ 5). The process
     /// runner ([`crate::runner`]) uses it for LPT slot assignment. Only
@@ -1210,28 +1202,15 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Where the entry came from: `"builtin"`, or `"runbook:<name>"` for a
-    /// generated cell. `epic-run list` prints it and `--origin` filters on
-    /// it.
-    pub fn origin(&self) -> String {
-        match &self.run {
-            ExperimentRun::Builtin(_) => "builtin".to_string(),
-            ExperimentRun::Scenario(cell) => format!("runbook:{}", cell.runbook),
-        }
-    }
-
     /// Runs the experiment, prints its oracle's claim, and stamps the
-    /// result with its provenance hash — the single execution path for
-    /// builtins and scenario cells alike, so every `SHAPES.json` row is
-    /// replayable from its hash (see [`crate::scenario::provenance_hash`]).
+    /// result with its provenance hash — the single execution path, so
+    /// every `SHAPES.json` row is replayable from its hash (see
+    /// [`crate::provenance::provenance_hash`]).
     pub fn execute(&self) -> ExperimentResult {
         let mut result = ExperimentResult::new(&self.id);
-        match &self.run {
-            ExperimentRun::Builtin(f) => f(&ExperimentScale::detect(), &mut result),
-            ExperimentRun::Scenario(cell) => crate::scenario::run_cell(cell, &mut result),
-        }
+        (self.run)(&ExperimentScale::detect(), &mut result);
         println!("claim: {}", self.oracle.claim);
-        result.provenance = Some(crate::scenario::provenance_hash(self));
+        result.provenance = Some(provenance_hash(&self.id));
         result
     }
 
@@ -1240,17 +1219,24 @@ impl Experiment {
         self.oracle.assertions.push(a);
         self
     }
+
+    /// Adds the per-cell checks of a scenario row's grid.
+    fn check_cells(self, cells: &[scenario::Cell]) -> Self {
+        scenario::cell_checks(cells)
+            .into_iter()
+            .fold(self, Experiment::check)
+    }
 }
 
-/// Every experiment: the builtins in paper order, each with its oracle,
-/// then any cells generated from the active `EPIC_RUNBOOK` (in runbook
-/// order). The builtin oracles read the scale knobs (`EPIC_THREADS`,
-/// `EPIC_MILLIS`) for their grid sizes and tiers.
+/// Every experiment, in paper order (figures and tables, then the
+/// ablations, then the scenario rows), each with its oracle. The
+/// oracles read the scale knobs (`EPIC_THREADS`, `EPIC_MILLIS`) for
+/// their grid sizes and tiers.
 pub fn all_experiments() -> Vec<Experiment> {
     fn builtin(id: &str, cost: u32, run: ExperimentFn, claim: &str) -> Experiment {
         Experiment {
             id: id.to_string(),
-            run: ExperimentRun::Builtin(run),
+            run,
             cost,
             oracle: Oracle {
                 claim: claim.to_string(),
@@ -1264,7 +1250,7 @@ pub fn all_experiments() -> Vec<Experiment> {
     let millis = epic_util::topology::env_u64("EPIC_MILLIS", 200);
     let smoke = |a| demote_at_millis(a, SMOKE_MILLIS, millis);
     let sweep = scale.sweep.len() as f64;
-    let mut all = vec![
+    vec![
         builtin(
             "fig1_scaling",
             20,
@@ -2017,9 +2003,32 @@ pub fn all_experiments() -> Vec<Experiment> {
             .advisory()
             .tol(0.15),
         ),
-    ];
-    all.extend(crate::scenario::generated_experiments());
-    all
+        builtin(
+            "scenario_skew",
+            12,
+            scenario::scenario_skew,
+            "Zipf-skewed keys (theta 0.5, 0.9) on the ABtree under DEBRA and NBR+: every cell \
+             completes its trials and a replayable single-thread determinism probe",
+        )
+        .check_cells(&scenario::skew_cells()),
+        builtin(
+            "scenario_oversub",
+            8,
+            scenario::scenario_oversub,
+            "2x-oversubscribed hmlist under RCU and DEBRA, batch and amortized free: every cell \
+             completes its trials and a replayable single-thread determinism probe",
+        )
+        .check_cells(&scenario::oversub_cells()),
+        builtin(
+            "scenario_churn",
+            6,
+            scenario::scenario_churn,
+            "Handle churn (detach and re-register every 1024 / 4096 ops) on the ABtree under \
+             RCU: every cell completes its trials and a replayable single-thread determinism \
+             probe",
+        )
+        .check_cells(&scenario::churn_cells()),
+    ]
 }
 
 /// An id's position in the registry (unknown ids rank last): the sort key
@@ -2051,8 +2060,11 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let all = all_experiments();
-        let builtins = all.iter().filter(|e| e.origin() == "builtin").count();
-        assert_eq!(builtins, 31, "the paper's artifacts, nothing else");
+        assert_eq!(
+            all.len(),
+            34,
+            "the paper's artifacts and the three scenario rows, nothing else"
+        );
         let ids: std::collections::HashSet<_> = all.iter().map(|e| e.id.as_str()).collect();
         assert_eq!(ids.len(), all.len(), "duplicate experiment ids");
         assert!(run_by_name("nonexistent_experiment").is_none());

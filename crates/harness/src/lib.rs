@@ -21,7 +21,6 @@
 //! | `EPIC_THREADS` | comma-separated thread counts for sweeps | powers of 2 up to 2×CPUs |
 //! | `EPIC_BAG_CAP` | limbo-bag capacity (paper: 32768) | 4096 |
 //! | `EPIC_RESULTS` | artifact output directory | `results/` |
-//! | `EPIC_RUNBOOK` | scenario runbook file generating `sc_*` experiments | unset |
 //!
 //! The authoritative reference for *every* `EPIC_*` variable (including
 //! the module-specific ones not listed here) is the README's
@@ -34,14 +33,14 @@
 pub mod config;
 pub mod experiments;
 pub mod oracle;
+pub mod provenance;
 pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod shapes;
 pub mod workload;
 
-pub use config::{Arrival, ExperimentScale, KeyDist, WorkloadCfg};
+pub use config::{ExperimentScale, KeyDist, WorkloadCfg};
 pub use report::{results_dir, ExperimentResult, Table};
-pub use scenario::{Cell, Runbook, ThreadSpec};
 pub use shapes::{ShapeRecord, ShapesDoc};
 pub use workload::{run_trial, run_trials, TrialResult, TrialSummary};

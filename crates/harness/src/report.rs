@@ -37,10 +37,10 @@ pub struct ExperimentResult {
     /// The experiment id (matches the registry).
     pub id: String,
     /// Provenance hash (32 hex chars) identifying exactly what produced
-    /// this result: experiment identity, runbook source, seed, toolchain,
-    /// git revision, and the effective `EPIC_*` overrides. Stamped by
+    /// this result: experiment id, toolchain, git revision, and the
+    /// effective `EPIC_*` overrides. Stamped by
     /// [`Experiment::execute`](crate::experiments::Experiment::execute)
-    /// for every run — builtin or runbook-generated — so any row in a
+    /// for every registry run, so any row in a
     /// `SHAPES.json` can be replayed from its hash alone
     /// (`epic-run replay <hash>`). `None` only for results constructed
     /// outside the registry (unit tests, ad-hoc drivers).

@@ -1,7 +1,7 @@
 //! The trial driver: prefill to steady state, run the 50/50 workload,
 //! collect every metric the figures need.
 
-use crate::config::{Arrival, KeyDist, WorkloadCfg};
+use crate::config::{KeyDist, WorkloadCfg};
 use epic_alloc::{build_allocator_with, AllocSnapshot};
 use epic_ds::{build_tree, ConcurrentMap};
 use epic_smr::{build_smr, SmrConfig, SmrSnapshot};
@@ -114,7 +114,6 @@ pub fn run_trial(cfg: &WorkloadCfg) -> TrialResult {
             let op_budget = cfg.op_budget;
             let seed = cfg.seed;
             let key_dist = cfg.key_dist;
-            let arrival = cfg.arrival;
             let churn_every = cfg.churn_every_ops;
             scope.spawn(move || {
                 // One registration per worker (re-done under churn): the
@@ -129,7 +128,6 @@ pub fn run_trial(cfg: &WorkloadCfg) -> TrialResult {
                 };
                 let mut ops = 0u64;
                 let mut ops_since_churn = 0u64;
-                let mut ops_in_burst = 0u64;
                 let mut next_stall_ns =
                     stall.map(|(every_ms, _)| epic_util::now_ns() + every_ms * 1_000_000);
                 while !stop.load(Ordering::Relaxed) {
@@ -147,7 +145,7 @@ pub fn run_trial(cfg: &WorkloadCfg) -> TrialResult {
                         }
                     }
                     // The paper's inner loop: coin flip, uniform key —
-                    // or the scenario layer's skewed variant.
+                    // or a Zipf-skewed key (the scenario rows).
                     for _ in 0..64 {
                         let key = match &zipf {
                             None => rng.next_bounded(key_range),
@@ -165,7 +163,6 @@ pub fn run_trial(cfg: &WorkloadCfg) -> TrialResult {
                         ops += 1;
                     }
                     ops_since_churn += 64;
-                    ops_in_burst += 64;
                     // Handle churn: leave the workload for good (detach —
                     // permanent quiescence, ring removal) and come back as
                     // a fresh registration of the same tid. All the churn
@@ -180,15 +177,6 @@ pub fn run_trial(cfg: &WorkloadCfg) -> TrialResult {
                     }
                     if op_budget.is_some_and(|budget| ops >= budget) {
                         break;
-                    }
-                    // Bursty arrival: duty-cycle on op counts (not timers)
-                    // so budgeted trials stay deterministic — the idle gap
-                    // changes wall-clock, never the op/retire stream.
-                    if let Arrival::Bursty { on_ops, off_micros } = arrival {
-                        if ops_in_burst >= on_ops {
-                            ops_in_burst = 0;
-                            thread::sleep(Duration::from_micros(off_micros));
-                        }
                     }
                 }
                 handle.detach();
@@ -407,19 +395,6 @@ mod tests {
         let r = run_trial(&cfg);
         assert!(r.ops > 0, "skewed trial must make progress");
         assert!(r.smr.retired > 0, "hot keys still churn nodes");
-    }
-
-    #[test]
-    fn bursty_arrival_still_completes_budget() {
-        let cfg = quick(TreeKind::Ab, SmrKind::Debra)
-            .with_op_budget(1024)
-            .with_arrival(Arrival::Bursty {
-                on_ops: 256,
-                off_micros: 50,
-            });
-        let r = run_trial(&cfg);
-        // The duty cycle stretches wall-clock but never eats ops.
-        assert_eq!(r.ops, 1024 * cfg.threads as u64);
     }
 
     #[test]

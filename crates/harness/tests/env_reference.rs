@@ -2,7 +2,7 @@
 //! reference": every `EPIC_*` variable the workspace reads must have a
 //! row, and every row must correspond to a variable that is still read
 //! somewhere — adding a knob without documenting it (or documenting a knob
-//! that no longer exists) fails. DESIGN.md's experiment map: every builtin
+//! that no longer exists) fails. DESIGN.md's experiment map: every registry
 //! id must occur in it. The workspace map: DESIGN.md §1's crate table and
 //! README's "Workspace map" name exactly the member directories of the
 //! root `Cargo.toml`.
@@ -80,7 +80,7 @@ fn readme_environment_reference_is_complete_and_current() {
     }
     in_source.retain(|n| !is_internal(n));
     assert!(
-        in_source.contains("EPIC_MILLIS") && in_source.contains("EPIC_RUNBOOK"),
+        in_source.contains("EPIC_MILLIS") && in_source.contains("EPIC_KEYRANGE"),
         "source scan is broken: {in_source:?}"
     );
 
@@ -110,15 +110,18 @@ fn readme_environment_reference_is_complete_and_current() {
     );
 }
 
-/// DESIGN.md §4 / §5 map every paper artifact to its experiment id; an id
+/// DESIGN.md §4 / §5 map every registry row to its experiment id; an id
 /// the registry gains (or renames) without a row there fails here.
 #[test]
 fn design_md_names_every_builtin_experiment() {
     use epic_harness::experiments::all_experiments;
     let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).expect("DESIGN.md");
     for e in all_experiments() {
-        let named = design.contains(&format!("`{}`", e.id));
-        assert!(named || e.origin() != "builtin", "{} is missing", e.id);
+        assert!(
+            design.contains(&format!("`{}`", e.id)),
+            "{} is missing",
+            e.id
+        );
     }
 }
 

@@ -1,19 +1,12 @@
-//! End-to-end coverage for the scenario/runbook surface of `epic-run`:
-//! `list` cost + origin columns, `list --json`, `--origin` filtering,
-//! runbook-generated cells flowing through `check -j 2` with provenance-
-//! stamped SHAPES rows, `replay <hash>` round trips, two-process
-//! determinism (same runbook → byte-identical ids/seeds/hashes), and
-//! broken-runbook startup failures.
+//! End-to-end coverage for the provenance surface of `epic-run`: the
+//! `list` cost column, `list --json`, two-process determinism (byte-
+//! identical ids and hashes), and the scenario rows flowing through
+//! `check -j 2` with provenance-stamped SHAPES rows that `replay <hash>`
+//! reproduces.
 
 use epic_util::json::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
-
-/// The committed example runbook, resolved from this crate.
-fn smoke_runbook() -> PathBuf {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../runbooks/smoke.json");
-    path.canonicalize().expect("runbooks/smoke.json exists")
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("epic_scen_{tag}_{}", std::process::id()));
@@ -22,20 +15,17 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `epic-run` with the smoke-scale knobs and (optionally) the
-/// committed runbook. The `EPIC_*` environment is part of the
-/// provenance hash, so every invocation in a test that compares hashes
-/// must go through the same helper with the same arguments.
-fn epic_run(args: &[&str], runbook: Option<&PathBuf>, results: &std::path::Path) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_epic-run"));
-    cmd.args(args)
+/// Runs `epic-run` with the smoke-scale knobs. The `EPIC_*` environment
+/// is part of the provenance hash, so every invocation in a test that
+/// compares hashes must go through the same helper.
+fn epic_run(args: &[&str], results: &std::path::Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_epic-run"))
+        .args(args)
         .env("EPIC_MILLIS", "20")
         .env("EPIC_TRIALS", "1")
-        .env("EPIC_RESULTS", results);
-    if let Some(rb) = runbook {
-        cmd.env("EPIC_RUNBOOK", rb);
-    }
-    cmd.output().expect("spawn epic-run")
+        .env("EPIC_RESULTS", results)
+        .output()
+        .expect("spawn epic-run")
 }
 
 fn stdout_of(out: &Output) -> String {
@@ -43,9 +33,9 @@ fn stdout_of(out: &Output) -> String {
 }
 
 #[test]
-fn list_shows_cost_and_origin_columns() {
+fn list_shows_cost_column() {
     let dir = scratch_dir("cols");
-    let out = epic_run(&["list"], None, &dir);
+    let out = epic_run(&["list"], &dir);
     assert!(out.status.success(), "list failed: {out:?}");
     let stdout = stdout_of(&out);
     let fig1 = stdout
@@ -53,23 +43,19 @@ fn list_shows_cost_and_origin_columns() {
         .find(|l| l.trim().starts_with("fig1_scaling"))
         .expect("fig1_scaling listed");
     assert!(fig1.contains("cost"), "cost hint missing: {fig1}");
-    assert!(fig1.contains("builtin"), "origin missing: {fig1}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn list_json_is_machine_readable() {
     let dir = scratch_dir("json");
-    let out = epic_run(&["list", "--json"], Some(&smoke_runbook()), &dir);
+    let out = epic_run(&["list", "--json"], &dir);
     assert!(out.status.success(), "list --json failed: {out:?}");
     let v = Json::parse(&stdout_of(&out)).expect("list --json parses as JSON");
     let entries = v.as_arr().expect("a JSON array");
-    assert!(!entries.is_empty());
-    let mut saw_builtin = false;
-    let mut saw_runbook = false;
+    let mut scenario_rows = 0;
     for e in entries {
         let id = e.get("id").and_then(Json::as_str).expect("id");
-        let origin = e.get("origin").and_then(Json::as_str).expect("origin");
         let prov = e.get("provenance").and_then(Json::as_str).expect("hash");
         assert!(
             e.get("cost").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
@@ -77,63 +63,26 @@ fn list_json_is_machine_readable() {
         );
         assert_eq!(prov.len(), 32, "{id}: provenance is 32 hex chars");
         assert!(prov.chars().all(|c| c.is_ascii_hexdigit()), "{id}: {prov}");
-        match origin {
-            "builtin" => saw_builtin = true,
-            o if o.starts_with("runbook:") => {
-                saw_runbook = true;
-                assert!(id.starts_with("sc_"), "{id}: generated ids are sc_*");
-                assert!(e.get("seed").and_then(Json::as_f64).is_some(), "{id}: seed");
-            }
-            o => panic!("{id}: unexpected origin {o}"),
+        for gone in ["origin", "seed"] {
+            assert!(e.get(gone).is_none(), "{id}: stale field {gone}");
         }
+        scenario_rows += usize::from(id.starts_with("scenario_"));
     }
-    assert!(saw_builtin && saw_runbook, "both origins present");
+    assert_eq!(entries.len(), 34);
+    assert_eq!(scenario_rows, 3);
     // `--json` is a list flag, not a check flag.
-    let out = epic_run(&["check", "--json"], None, &dir);
+    let out = epic_run(&["check", "--json"], &dir);
     assert_eq!(out.status.code(), Some(2), "check --json must exit 2");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn origin_filter_splits_builtin_from_generated() {
-    let dir = scratch_dir("origin");
-    let rb = smoke_runbook();
-    let builtin = stdout_of(&epic_run(&["list", "--origin", "builtin"], Some(&rb), &dir));
-    assert!(!builtin.contains("sc_"), "builtin filter leaked cells");
-    assert!(builtin.contains("fig1_scaling"));
-    let generated = stdout_of(&epic_run(&["list", "--origin", "runbook"], Some(&rb), &dir));
-    assert!(
-        !generated.contains("fig1_scaling"),
-        "runbook filter leaked builtins"
-    );
-    // The committed smoke runbook must generate at least 10 cells, all
-    // three scenario families represented.
-    let cells: Vec<&str> = generated
-        .lines()
-        .filter_map(|l| l.split_whitespace().next())
-        .filter(|t| t.starts_with("sc_"))
-        .collect();
-    assert!(cells.len() >= 10, "only {} cells: {cells:?}", cells.len());
-    for family in ["sc_skew_", "sc_oversub_", "sc_churn_"] {
-        assert!(
-            cells.iter().any(|c| c.starts_with(family)),
-            "missing {family}"
-        );
-    }
-    // Unknown origin values are usage errors.
-    let out = epic_run(&["list", "--origin", "bogus"], None, &dir);
-    assert_eq!(out.status.code(), Some(2));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The determinism satellite: the same runbook yields byte-identical
-/// generated ids, seeds, and provenance hashes across two *processes*.
+/// The same checkout and environment yield byte-identical ids and
+/// provenance hashes across two *processes*.
 #[test]
 fn two_processes_generate_byte_identical_registries() {
     let dir = scratch_dir("det");
-    let rb = smoke_runbook();
-    let a = epic_run(&["list", "--json"], Some(&rb), &dir);
-    let b = epic_run(&["list", "--json"], Some(&rb), &dir);
+    let a = epic_run(&["list", "--json"], &dir);
+    let b = epic_run(&["list", "--json"], &dir);
     assert!(a.status.success() && b.status.success());
     assert_eq!(
         stdout_of(&a),
@@ -143,22 +92,15 @@ fn two_processes_generate_byte_identical_registries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Generated cells run under the process runner like any builtin, every
-/// SHAPES row carries a provenance hash, and `replay <hash> --against`
-/// reproduces the recorded deterministic counters from the hash alone.
+/// The scenario rows run under the process runner like any other row,
+/// every SHAPES row carries a provenance hash, and `replay <hash>
+/// --against` reproduces the recorded deterministic counters from the
+/// hash alone.
 #[test]
 fn check_stamps_provenance_and_replay_round_trips() {
     let dir = scratch_dir("replay");
-    let rb = smoke_runbook();
     let out = epic_run(
-        &[
-            "check",
-            "sc_skew_debra_abtree_je_t2_z090",
-            "sc_churn_rcu_abtree_je_t2_u_c1024",
-            "-j",
-            "2",
-        ],
-        Some(&rb),
+        &["check", "scenario_skew", "scenario_churn", "-j", "2"],
         &dir,
     );
     assert!(
@@ -186,7 +128,6 @@ fn check_stamps_provenance_and_replay_round_trips() {
             "--against",
             shapes_path.to_str().unwrap(),
         ],
-        Some(&rb),
         &dir,
     );
     assert_eq!(
@@ -195,35 +136,15 @@ fn check_stamps_provenance_and_replay_round_trips() {
         "replay must reproduce identical counters and hash: {out:?} {}",
         stdout_of(&out)
     );
-    assert!(stdout_of(&out).contains("identical"));
-    // A hash nothing in the registry reproduces is exit 2 with guidance.
-    let out = epic_run(
-        &["replay", "00000000000000000000000000000000"],
-        Some(&rb),
-        &dir,
+    assert!(
+        stdout_of(&out).contains("scenario_churn matches"),
+        "{}",
+        stdout_of(&out)
     );
+    assert!(stdout_of(&out).contains("15 det/* counters identical"));
+    // A hash nothing in the registry reproduces is exit 2 with guidance.
+    let out = epic_run(&["replay", "00000000000000000000000000000000"], &dir);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("provenance"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A broken `EPIC_RUNBOOK` is a hard startup error (exit 2) for every
-/// subcommand — never a silent fallback to the builtin registry.
-#[test]
-fn broken_runbook_is_a_startup_error() {
-    let dir = scratch_dir("broken");
-    let missing = PathBuf::from("/no/such/runbook.json");
-    let out = epic_run(&["list"], Some(&missing), &dir);
-    assert_eq!(out.status.code(), Some(2), "missing runbook: {out:?}");
-    let malformed = dir.join("bad.json");
-    std::fs::write(&malformed, "{\"schema\": \"epic-runbook-v1\"").unwrap();
-    for sub in [&["list"][..], &["check", "all"][..]] {
-        let out = epic_run(sub, Some(&malformed), &dir);
-        assert_eq!(out.status.code(), Some(2), "{sub:?} with bad runbook");
-        assert!(
-            !String::from_utf8_lossy(&out.stderr).is_empty(),
-            "diagnostic expected"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }

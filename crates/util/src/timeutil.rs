@@ -8,12 +8,8 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
+/// The shared clock origin, established on the first [`now_ns`] call.
 static ORIGIN: OnceLock<Instant> = OnceLock::new();
-
-/// Returns the shared clock origin, establishing it on first call.
-fn origin() -> Instant {
-    *ORIGIN.get_or_init(Instant::now)
-}
 
 /// Nanoseconds elapsed since the process-wide clock origin.
 ///
@@ -23,7 +19,7 @@ fn origin() -> Instant {
 /// `epic-alloc`'s sampled timers).
 #[inline]
 pub fn now_ns() -> u64 {
-    origin().elapsed().as_nanos() as u64
+    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// A reusable stopwatch over the shared origin.
