@@ -85,16 +85,16 @@ impl BlockHeader {
         self as *const BlockHeader as usize
     }
 
-    /// Prefetches every cache line of this block, header and user area.
+    /// Prefetches every cache line of this block, header and user area,
+    /// through [`prefetch_span`] with the class read from this header.
     ///
-    /// Amortized free hands the oldest garbage back to a LIFO thread cache,
-    /// so the block freed now is the one the next allocation writes; this
-    /// warms it while it is still owned by the caller (see DESIGN.md §10).
+    /// The amortized-free side of the warm handout: AF frees the oldest
+    /// garbage into a LIFO thread cache, so the block freed now is the one
+    /// the next allocation writes; this warms it while it is still owned by
+    /// the caller (see DESIGN.md §10).
     #[inline]
     pub fn prefetch_block(&self) {
-        for line in block_lines(self.addr(), self.class as usize) {
-            prefetch_line(line);
-        }
+        prefetch_span(self.addr(), self.class as usize);
     }
 }
 
@@ -118,6 +118,17 @@ fn block_lines(base: usize, class: usize) -> impl Iterator<Item = usize> {
     (first..end)
         .step_by(LINE_SIZE)
         .map(move |line| line.max(base))
+}
+
+/// Prefetches every cache line of the class-`class` block whose header is
+/// at `base`. The lines come from the class alone, so nothing is loaded:
+/// `base` may be a block on a free list or a bump carve not yet written,
+/// and no line past the block (the next block's header) is named.
+#[inline]
+pub fn prefetch_span(base: usize, class: usize) {
+    for line in block_lines(base, class) {
+        prefetch_line(line);
+    }
 }
 
 /// Hints the cache line holding `addr` into L1 (`prefetcht0`; a no-op off
@@ -220,6 +231,13 @@ impl FreeList {
         hdr.next.store(self.head, Ordering::Relaxed);
         self.head = hdr.addr();
         self.len += 1;
+    }
+
+    /// Header address of the block the next [`pop`](Self::pop) returns,
+    /// if any. Reads only the list, never the block.
+    #[inline]
+    pub fn peek_addr(&self) -> Option<usize> {
+        (self.head != 0).then_some(self.head)
     }
 
     /// Pops a block, if any.
@@ -341,6 +359,31 @@ mod tests {
         // line-aligned, OCC/DGT's 96 B two.
         assert_eq!(block_lines(0x10_000, 9).count(), 5);
         assert_eq!(block_lines(0x10_000, 5).count(), 2);
+
+        // `prefetch_block` reads its span from a written header, the models'
+        // `prefetch_span(addr, class)` from the list and the bin: for a real
+        // header at each offset of a line, in every class, the two name the
+        // same lines.
+        let layout =
+            Layout::from_size_align(LINE_SIZE + span_bytes(NUM_CLASSES - 1), LINE_SIZE).unwrap();
+        // SAFETY: valid, non-zero layout.
+        let buf = unsafe { alloc(layout) } as usize;
+        assert_ne!(buf, 0);
+        for class in 0..NUM_CLASSES {
+            for base in (buf..buf + LINE_SIZE).step_by(16) {
+                // SAFETY: `base` is 16-aligned inside `buf`, with the whole
+                // span of the largest class after it.
+                let hdr = unsafe {
+                    BlockHeader::init(base as *mut BlockHeader, 7, class as u32);
+                    &*(base as *const BlockHeader)
+                };
+                let by_header: Vec<usize> = block_lines(hdr.addr(), hdr.class as usize).collect();
+                let by_class: Vec<usize> = block_lines(base, class).collect();
+                assert_eq!(by_header, by_class, "class {class} offset {}", base - buf);
+            }
+        }
+        // SAFETY: allocated above with the same layout.
+        unsafe { dealloc(buf as *mut u8, layout) };
     }
 
     #[test]
@@ -355,9 +398,16 @@ mod tests {
             }
         }
         assert_eq!(list.len(), 3);
-        let owners: Vec<u32> = std::iter::from_fn(|| list.pop().map(|h| h.owner)).collect();
+        let owners: Vec<u32> = std::iter::from_fn(|| {
+            let next = list.peek_addr();
+            list.pop()
+                .inspect(|h| assert_eq!(next, Some(h.addr()), "peek names the pop"))
+        })
+        .map(|h| h.owner)
+        .collect();
         assert_eq!(owners, vec![2, 1, 0], "LIFO order");
         assert!(list.is_empty());
+        assert_eq!(list.peek_addr(), None);
         assert!(list.pop().is_none());
         for (p, layout) in blocks {
             // SAFETY: allocated in this test.

@@ -25,7 +25,7 @@
 //! Under `Central` every block of a flush maps to one depot, so a flush
 //! takes one lock.
 
-use crate::block::{span_bytes, BlockHeader, FreeList};
+use crate::block::{prefetch_span, span_bytes, BlockHeader, FreeList};
 use crate::chunks::{BumpCursor, ChunkStore};
 use crate::classes::{class_of, NUM_CLASSES};
 use crate::cost::CostModel;
@@ -62,6 +62,10 @@ struct Depot {
 struct CacheThread {
     cache: ThreadCache,
     scratch: Vec<&'static BlockHeader>,
+    /// True from an `alloc` to the next `dealloc`. Only inside such a run
+    /// is a bin's back the next handout: a free in between pushes the
+    /// block the next alloc takes instead (see `alloc`).
+    in_alloc_run: bool,
 }
 
 /// The thread-cache pool allocator behind `je`, `je_incr` and `tc`. See
@@ -132,6 +136,7 @@ impl CachedModel {
             threads: TidSlots::new_with(max_threads, |_| CacheThread {
                 cache: ThreadCache::new(tcache_cap),
                 scratch: Vec::with_capacity(tcache_cap),
+                in_alloc_run: false,
             }),
             counters: PerThread::new(max_threads),
             cost,
@@ -269,6 +274,20 @@ impl PoolAllocator for CachedModel {
             }
             None => self.refill(tid, class),
         };
+        // Inside a run of allocations the bin's new back is the next
+        // handout of this class, and it may be cold (refilled, or the end
+        // of a batch free's sweep): warm it now rather than stall the write
+        // that follows that alloc (DESIGN.md §10). After a free the next
+        // handout is usually the next free's block, which AF's drain warms
+        // itself. Nothing handed out or counted changes.
+        // SAFETY: as above; `refill` has returned its own borrow.
+        let thread = unsafe { self.threads.get_mut(tid) };
+        if thread.in_alloc_run {
+            if let Some(next) = thread.cache.peek(class) {
+                prefetch_span(next.addr(), class);
+            }
+        }
+        thread.in_alloc_run = true;
         if self.backing == Backing::Central {
             // The last allocator of a block owns it for remote-free
             // accounting; only read racily by stats.
@@ -302,6 +321,7 @@ impl PoolAllocator for CachedModel {
 
         // SAFETY: tid-exclusivity per the PoolAllocator contract.
         let thread = unsafe { self.threads.get_mut(tid) };
+        thread.in_alloc_run = false;
         let overflow = thread.cache.push(class, hdr);
         if let Some(c) = clock {
             counters.add_sampled_free_ns(c.elapsed_ns());

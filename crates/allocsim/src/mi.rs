@@ -11,7 +11,7 @@
 //! *same page*. This is why "MImalloc sidesteps the problem altogether"
 //! (§3.3, Table 3) and why amortized freeing does not help it.
 
-use crate::block::{span_bytes, BlockHeader, FreeList};
+use crate::block::{prefetch_span, span_bytes, BlockHeader, FreeList};
 use crate::chunks::ChunkStore;
 use crate::classes::{class_of, NUM_CLASSES};
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
@@ -81,6 +81,21 @@ impl Page {
         // exclusively ours now.
         unsafe { (*self.local.get()).adopt_chain(head) };
         true
+    }
+
+    /// Owner-only: the header address of the class-`class` block this page
+    /// hands out next unless a free to it lands first: the local list's
+    /// head, else the next bump carve if it still fits the page region.
+    /// Loads nothing from the block.
+    ///
+    /// # Safety
+    /// Must be called by the owning thread only.
+    unsafe fn next_handout(&self, class: usize) -> Option<usize> {
+        // SAFETY: owner-only access to `local` and `bump`.
+        let (local, &(cursor, end)) = unsafe { (&*self.local.get(), &*self.bump.get()) };
+        local
+            .peek_addr()
+            .or_else(|| (end - cursor >= span_bytes(class)).then_some(cursor))
     }
 }
 
@@ -233,6 +248,15 @@ impl PoolAllocator for MiModel {
             // SAFETY: we own the fresh page.
             unsafe { self.try_alloc_from(id, class) }.expect("fresh page must have space")
         };
+        // The next alloc of this class tries the current page first; warm
+        // the block it will take (DESIGN.md §10). Unlike a thread cache, a
+        // free in between seldom changes that block: it goes back to its
+        // own page, rarely the one being allocated from. Nothing handed
+        // out or counted changes.
+        // SAFETY: pages in `bin` are owned by tid.
+        if let Some(next) = unsafe { self.page(bin.pages[bin.current]).next_handout(class) } {
+            prefetch_span(next, class);
+        }
 
         if let Some(c) = clock {
             counters.add_sampled_alloc_ns(c.elapsed_ns());
@@ -382,6 +406,86 @@ mod tests {
             unique.len(),
             n * 4,
             "lost or duplicated blocks in cross-thread list"
+        );
+        for p in live {
+            m.dealloc(0, p);
+        }
+    }
+
+    /// What tid 0's next class-`class` alloc is predicted to hand out.
+    fn predicted(m: &MiModel, class: usize) -> Option<usize> {
+        // SAFETY: single-threaded test; tid 0 owns its bins and pages.
+        unsafe {
+            let bin = &m.threads.get_mut(0).bins[class];
+            m.page(bin.pages[bin.current]).next_handout(class)
+        }
+    }
+
+    fn header_addr(p: NonNull<u8>) -> usize {
+        // SAFETY: every pointer here came from `alloc`.
+        unsafe { BlockHeader::from_user(p) }.addr()
+    }
+
+    #[test]
+    fn next_handout_is_the_next_alloc() {
+        let m = MiModel::new(2);
+        let class = class_of(64);
+        let stride = span_bytes(class);
+        assert_ne!(PAGE_BYTES % stride, 0, "the page ends in a sliver");
+
+        // Bump: a fresh page carves in address order.
+        let first = m.alloc(0, 64);
+        let region = header_addr(first)..header_addr(first) + PAGE_BYTES;
+        let mut live = vec![first];
+        for _ in 0..8 {
+            let next = predicted(&m, class);
+            live.push(m.alloc(0, 64));
+            assert_eq!(next, Some(header_addr(live[live.len() - 1])), "bump");
+        }
+
+        // Local list: owner frees come back LIFO.
+        for p in live.drain(4..) {
+            m.dealloc(0, p);
+        }
+        for _ in 0..5 {
+            let next = predicted(&m, class);
+            live.push(m.alloc(0, 64));
+            assert_eq!(next, Some(header_addr(live[live.len() - 1])), "local");
+        }
+
+        // After collect: the alloc that adopts the remote frees leaves the
+        // rest of the chain on the local list, and the prediction follows it.
+        for p in live.drain(..) {
+            m.dealloc(1, p);
+        }
+        live.push(m.alloc(0, 64));
+        for _ in 0..8 {
+            let next = predicted(&m, class);
+            live.push(m.alloc(0, 64));
+            assert_eq!(next, Some(header_addr(live[live.len() - 1])), "collected");
+        }
+
+        // To the end of the page: every prediction is a whole block inside
+        // the region, and the sliver after the last carve is not one.
+        while m.page_count() == 1 {
+            let next = predicted(&m, class);
+            if let Some(a) = next {
+                assert!(
+                    region.start <= a && a + stride <= region.end,
+                    "{a:#x} past the page"
+                );
+            }
+            let p = m.alloc(0, 64);
+            if m.page_count() == 1 {
+                assert_eq!(next, Some(header_addr(p)), "bump to the end");
+            } else {
+                assert_eq!(next, None, "a full page predicts nothing");
+            }
+            live.push(p);
+        }
+        assert_eq!(
+            predicted(&m, class),
+            Some(header_addr(live[live.len() - 1]) + stride)
         );
         for p in live {
             m.dealloc(0, p);

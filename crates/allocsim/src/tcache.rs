@@ -2,11 +2,18 @@
 //! RBF problem.
 //!
 //! jemalloc and tcmalloc both keep, per thread and per size class, a bounded
-//! LIFO of recently-freed blocks. Allocation pops the newest entry (warm in
-//! cache); free pushes. When a push overflows the bound, the *oldest* ~3/4
-//! of the buffer is flushed to the backing bin. The paper's whole point is
-//! that freeing a large batch overflows this buffer repeatedly, while
-//! amortized freeing lets allocations drain it between frees.
+//! LIFO of recently-freed blocks. Allocation pops the newest entry; free
+//! pushes. When a push overflows the bound, the *oldest* ~3/4 of the buffer
+//! is flushed to the backing bin. The paper's whole point is that freeing a
+//! large batch overflows this buffer repeatedly, while amortized freeing
+//! lets allocations drain it between frees.
+//!
+//! The newest entry is not necessarily warm in cache: after a batch free
+//! it is the end of a sweep over old garbage, and after a refill it comes
+//! from a depot list or a fresh carve. The model behind `je`, `je_incr` and
+//! `tc` therefore prefetches the block [`ThreadCache::peek`] names at each
+//! allocation that follows another one, so the next finds it warm
+//! (DESIGN.md §10).
 
 use crate::block::BlockHeader;
 use crate::classes::NUM_CLASSES;
@@ -48,11 +55,22 @@ impl ThreadCache {
         self.cap
     }
 
-    /// Pops the most recently freed block of `class`, if any (LIFO: the
-    /// warmest block).
+    /// Pops the most recently pushed block of `class`, if any (LIFO). It
+    /// is warm only if something warmed it: under batch free, refill and
+    /// prefill it is cold unless the caller prefetched the [`peek`] of the
+    /// previous pop.
+    ///
+    /// [`peek`]: Self::peek
     #[inline]
     pub fn pop(&mut self, class: usize) -> Option<&'static BlockHeader> {
         self.bins[class].pop_back()
+    }
+
+    /// The block the next [`pop`](Self::pop) of `class` returns, if any,
+    /// left in the bin.
+    #[inline]
+    pub fn peek(&self, class: usize) -> Option<&'static BlockHeader> {
+        self.bins[class].back().copied()
     }
 
     /// Pushes a freed block. Returns `true` if the bin now exceeds capacity
@@ -120,6 +138,53 @@ mod tests {
         assert_eq!(tc.pop(0).unwrap().owner, 2, "newest first");
         assert_eq!(tc.pop(0).unwrap().owner, 1);
         assert!(tc.pop(0).is_none());
+    }
+
+    /// Pops the bin empty, checking before each pop that `peek` names it.
+    fn peek_names_every_pop(tc: &mut ThreadCache) -> Vec<u32> {
+        std::iter::from_fn(|| {
+            let next = tc.peek(0).map(BlockHeader::addr);
+            let popped = tc.pop(0);
+            assert_eq!(next, popped.map(BlockHeader::addr), "peek names the pop");
+            popped.map(|h| h.owner)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn peek_is_the_next_pop() {
+        let mut tc = ThreadCache::new(8);
+        assert!(tc.peek(0).is_none(), "empty bin");
+        assert!(tc.peek(1).is_none());
+
+        tc.push(0, header(1));
+        tc.push(0, header(2));
+        assert_eq!(tc.len(0), 2, "peek takes nothing");
+        assert_eq!(peek_names_every_pop(&mut tc), [2, 1], "after push");
+
+        for i in 10..14 {
+            tc.push_refill(0, header(i));
+        }
+        assert_eq!(
+            peek_names_every_pop(&mut tc),
+            [13, 12, 11, 10],
+            "after refill"
+        );
+
+        for i in 20..29 {
+            tc.push(0, header(i));
+        }
+        let mut out = Vec::new();
+        tc.drain_n(0, None, &mut out);
+        assert_eq!(peek_names_every_pop(&mut tc), [28, 27, 26], "after a flush");
+
+        for i in 30..36 {
+            tc.push(0, header(i));
+        }
+        out.clear();
+        tc.drain_n(0, Some(6), &mut out);
+        assert!(tc.peek(0).is_none(), "drained empty");
+        assert!(peek_names_every_pop(&mut tc).is_empty());
     }
 
     #[test]
