@@ -1,11 +1,14 @@
-//! Block headers.
+//! Block headers, and the one list threaded through them.
 //!
 //! Every block handed out by the pool models is preceded by a 32-byte header
 //! carrying the metadata real allocators keep in page maps or radix trees:
 //! which *bin* the block belongs to (arena / central list / page — "the heap
 //! to which it should be returned", paper §3.2 fn. 2), its size class, an
-//! intrusive free-list link, and a 64-bit **birth era** slot that the
+//! intrusive list link, and a 64-bit **birth era** slot that the
 //! era-based SMR schemes (HE, IBR, WFE) stamp at allocation time.
+//! [`BlockList`], threaded through that link, is the list a free or
+//! retired block waits on: a stack in the pool models, a FIFO in the SMR
+//! schemes' limbo bags.
 
 use crate::classes::size_of_class;
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
@@ -22,19 +25,17 @@ pub struct BlockHeader {
     pub owner: u32,
     /// Size class index of the block.
     pub class: u32,
-    /// Intrusive free-list link. Interpreted under the owning bin's lock in
-    /// Je/Tc, and as a lock-free Treiber-stack link in Mi's cross-thread
-    /// free list (hence atomic).
+    /// Intrusive list link: the [`BlockList`] link, interpreted under the
+    /// owning bin's lock in Je/Tc or by the list's one owner, and a
+    /// lock-free Treiber-stack link in Mi's cross-thread free list (hence
+    /// atomic).
     pub next: AtomicUsize,
     /// Birth era stamped by era-based SMR schemes; untouched by the
     /// allocator models themselves except for zeroing on alloc.
     pub birth_era: AtomicU64,
-    /// Retire era stamped by era-based SMR schemes at retirement, so the
-    /// block carries its whole `[birth, retire]` interval while it waits
-    /// in limbo and retirement needs no side allocation. The limbo lists
-    /// themselves thread only through [`next`](Self::next); no other
-    /// scheme and no allocator model reads or writes this word, except
-    /// for zeroing on alloc.
+    /// Retire era stamped by era-based SMR schemes at retirement, so a
+    /// block in limbo carries its `[birth, retire]` interval without a side
+    /// allocation. Nothing else touches it, except for zeroing on alloc.
     pub retire_era: AtomicU64,
 }
 
@@ -194,19 +195,43 @@ pub unsafe fn retire_era(user: NonNull<u8>) -> u64 {
         .load(Ordering::Acquire)
 }
 
-/// An intrusive singly-linked free list of blocks, threaded through
-/// [`BlockHeader::next`]. **Not** thread-safe: callers hold the owning bin's
-/// lock (Je/Tc) or have exclusive ownership (thread caches, Mi local lists).
+/// Chains a [`BlockList`] interleaves its entries over: misses in flight
+/// per drain or refill, while a splice stays a handful of stores.
+pub const WAYS: usize = 8;
+
+/// The one intrusive list threaded through [`BlockHeader::next`] (it writes
+/// nothing else in the header). The pool models use it as a stack
+/// (`push_front` / `pop`: depot bins, mimalloc's page-local lists);
+/// `epic_smr::RetiredList` wraps it as a FIFO (`push` / `pop` / `splice`).
+///
+/// Entry *i* (0 = the next pop) lives on chain `(first + i) % WAYS`, so a
+/// pop takes chain `first`'s head and prefetches that chain's successor,
+/// the entry `WAYS` pops ahead: a drain or a refill of cold blocks keeps
+/// `WAYS` misses in flight, where one chain would load them one by one.
+/// Push, push-front and pop are O(1), a splice O(`WAYS`), and nothing
+/// allocates: the spine *is* the listed memory. **Not** thread-safe:
+/// callers hold the owning bin's lock (Je/Tc) or own the list. Dropping
+/// a non-empty list frees nothing; the chunk store owns its blocks.
 #[derive(Debug, Default)]
-pub struct FreeList {
-    head: usize,
+pub struct BlockList {
+    /// Header address of each chain's front entry (0 = empty chain).
+    heads: [usize; WAYS],
+    /// Header address of each chain's back entry (0 = empty chain).
+    tails: [usize; WAYS],
+    /// The chain holding the front entry.
+    first: usize,
     len: usize,
 }
 
-impl FreeList {
+impl BlockList {
     /// An empty list.
     pub const fn new() -> Self {
-        FreeList { head: 0, len: 0 }
+        BlockList {
+            heads: [0; WAYS],
+            tails: [0; WAYS],
+            first: 0,
+            len: 0,
+        }
     }
 
     /// Number of blocks on the list.
@@ -221,15 +246,48 @@ impl FreeList {
         self.len == 0
     }
 
-    /// Pushes a block.
+    /// Links header `addr` (or a whole chain from `addr` to `last`) after
+    /// chain `way`'s back entry.
+    #[inline]
+    fn link_tail(&mut self, way: usize, addr: usize, last: usize) {
+        if self.tails[way] == 0 {
+            self.heads[way] = addr;
+        } else {
+            // SAFETY: `tails[way]` was linked from a valid header this list
+            // exclusively owns.
+            let tail = unsafe { &*(self.tails[way] as *const BlockHeader) };
+            tail.next.store(addr, Ordering::Relaxed);
+        }
+        self.tails[way] = last;
+    }
+
+    /// Appends a block behind the back entry (FIFO use).
     ///
     /// # Safety
-    /// `hdr` must be a valid, exclusively-owned block header not currently
-    /// on any list.
+    /// `hdr` must be a valid block header, exclusively owned by the caller
+    /// and on no other list, until it is popped.
     #[inline]
     pub unsafe fn push(&mut self, hdr: &BlockHeader) {
-        hdr.next.store(self.head, Ordering::Relaxed);
-        self.head = hdr.addr();
+        hdr.next.store(0, Ordering::Relaxed);
+        let addr = hdr.addr();
+        self.link_tail((self.first + self.len) % WAYS, addr, addr);
+        self.len += 1;
+    }
+
+    /// Prepends a block: the next [`pop`](Self::pop) returns it (stack
+    /// use).
+    ///
+    /// # Safety
+    /// Same contract as [`push`](Self::push).
+    #[inline]
+    pub unsafe fn push_front(&mut self, hdr: &BlockHeader) {
+        let way = (self.first + WAYS - 1) % WAYS;
+        hdr.next.store(self.heads[way], Ordering::Relaxed);
+        self.heads[way] = hdr.addr();
+        if self.tails[way] == 0 {
+            self.tails[way] = self.heads[way];
+        }
+        self.first = way;
         self.len += 1;
     }
 
@@ -237,37 +295,69 @@ impl FreeList {
     /// if any. Reads only the list, never the block.
     #[inline]
     pub fn peek_addr(&self) -> Option<usize> {
-        (self.head != 0).then_some(self.head)
+        (self.len != 0).then_some(self.heads[self.first])
     }
 
-    /// Pops a block, if any.
+    /// Removes and returns the front entry.
+    ///
+    /// The entry's header line was prefetched when the entry `WAYS` pops
+    /// earlier left the same chain, so a drain or a refill keeps `WAYS`
+    /// header misses in flight instead of one.
     #[inline]
     pub fn pop(&mut self) -> Option<&'static BlockHeader> {
-        if self.head == 0 {
+        if self.len == 0 {
             return None;
         }
-        // SAFETY: `head` was stored by `push` from a valid header and the
-        // list owner has exclusive access.
-        let hdr = unsafe { &*(self.head as *const BlockHeader) };
-        self.head = hdr.next.load(Ordering::Relaxed);
+        let way = self.first;
+        debug_assert_ne!(
+            self.heads[way], 0,
+            "a non-empty list's front chain is empty"
+        );
+        // SAFETY: a non-empty list's front entry heads chain `first`; it was
+        // linked by a push from a valid header this list exclusively owns.
+        let hdr = unsafe { &*(self.heads[way] as *const BlockHeader) };
+        let next = hdr.next.load(Ordering::Relaxed);
+        self.heads[way] = next;
+        if next == 0 {
+            self.tails[way] = 0;
+        } else {
+            prefetch_line(next);
+        }
+        self.first = (way + 1) % WAYS;
         self.len -= 1;
         Some(hdr)
     }
 
-    /// Takes an entire chained list (from a Treiber-stack swap) and adopts
-    /// it, counting its length.
+    /// Links all of `other` behind this list's back entry in O(`WAYS`),
+    /// FIFO order kept: each of `other`'s chains moves whole onto the chain
+    /// its entries' new positions select.
+    ///
+    /// # Safety
+    /// `other` still names its blocks afterwards: it must be reset before
+    /// anything is pushed, popped or spliced through it again.
+    #[inline]
+    pub unsafe fn splice(&mut self, other: &BlockList) {
+        for i in 0..WAYS.min(other.len) {
+            let from = (other.first + i) % WAYS;
+            let to = (self.first + self.len + i) % WAYS;
+            self.link_tail(to, other.heads[from], other.tails[from]);
+        }
+        self.len += other.len;
+    }
+
+    /// Takes an entire null-terminated chain (from a Treiber-stack swap)
+    /// and pushes it block by block onto the front, so the chain's last
+    /// block pops first.
     ///
     /// # Safety
     /// `head` must be the head of a valid, exclusively-owned chain.
-    pub unsafe fn adopt_chain(&mut self, head: usize) {
-        let mut cursor = head;
-        while cursor != 0 {
+    pub unsafe fn adopt_chain(&mut self, mut head: usize) {
+        while head != 0 {
             // SAFETY: chain validity guaranteed by caller.
-            let hdr = unsafe { &*(cursor as *const BlockHeader) };
-            let next = hdr.next.load(Ordering::Relaxed);
+            let hdr = unsafe { &*(head as *const BlockHeader) };
+            head = hdr.next.load(Ordering::Relaxed);
             // SAFETY: hdr is exclusively ours now.
-            unsafe { self.push(hdr) };
-            cursor = next;
+            unsafe { self.push_front(hdr) };
         }
     }
 }
@@ -275,7 +365,11 @@ impl FreeList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build_allocator, AllocatorKind, CostModel, PoolAllocator};
+    use epic_util::SplitMix64;
     use std::alloc::{alloc, dealloc, Layout};
+    use std::collections::VecDeque;
+    use std::sync::Arc;
 
     fn raw_block() -> (*mut u8, Layout) {
         let layout = Layout::from_size_align(HEADER_SIZE + 64, 16).unwrap();
@@ -388,16 +482,18 @@ mod tests {
 
     #[test]
     fn freelist_lifo_order() {
-        let blocks: Vec<(*mut u8, Layout)> = (0..3).map(|_| raw_block()).collect();
-        let mut list = FreeList::new();
+        // Past three laps of the ways, so every chain holds several blocks.
+        let n = 3 * WAYS + 1;
+        let blocks: Vec<(*mut u8, Layout)> = (0..n).map(|_| raw_block()).collect();
+        let mut list = BlockList::new();
         for (i, &(p, _)) in blocks.iter().enumerate() {
             // SAFETY: valid fresh blocks.
             unsafe {
                 BlockHeader::init(p as *mut BlockHeader, i as u32, 0);
-                list.push(&*(p as *const BlockHeader));
+                list.push_front(&*(p as *const BlockHeader));
             }
         }
-        assert_eq!(list.len(), 3);
+        assert_eq!(list.len(), n);
         let owners: Vec<u32> = std::iter::from_fn(|| {
             let next = list.peek_addr();
             list.pop()
@@ -405,7 +501,11 @@ mod tests {
         })
         .map(|h| h.owner)
         .collect();
-        assert_eq!(owners, vec![2, 1, 0], "LIFO order");
+        assert_eq!(
+            owners,
+            (0..n as u32).rev().collect::<Vec<_>>(),
+            "LIFO order"
+        );
         assert!(list.is_empty());
         assert_eq!(list.peek_addr(), None);
         assert!(list.pop().is_none());
@@ -415,36 +515,282 @@ mod tests {
         }
     }
 
+    /// Links `chain` into one null-terminated chain through `next`, as a
+    /// Treiber stack's swap hands it over, and returns its head (0 if
+    /// empty).
+    fn link_chain(chain: &[&BlockHeader]) -> usize {
+        for w in chain.windows(2) {
+            w[0].next.store(w[1].addr(), Ordering::Relaxed);
+        }
+        if let Some(last) = chain.last() {
+            last.next.store(0, Ordering::Relaxed);
+        }
+        chain.first().map_or(0, |h| h.addr())
+    }
+
     #[test]
     fn adopt_chain_counts() {
         let blocks: Vec<(*mut u8, Layout)> = (0..4).map(|_| raw_block()).collect();
-        // Build a manual chain: b0 -> b1 -> b2 -> b3 -> null.
-        for (i, &(p, _)) in blocks.iter().enumerate() {
-            // SAFETY: fresh blocks.
-            unsafe { BlockHeader::init(p as *mut BlockHeader, i as u32, 0) };
-        }
-        for w in blocks.windows(2) {
-            // SAFETY: initialized above.
-            let (a, b) = unsafe {
-                (
-                    &*(w[0].0 as *const BlockHeader),
-                    &*(w[1].0 as *const BlockHeader),
-                )
-            };
-            a.next.store(b.addr(), Ordering::Relaxed);
-        }
-        // SAFETY: last block terminates the chain.
-        unsafe { &*(blocks[3].0 as *const BlockHeader) }
-            .next
-            .store(0, Ordering::Relaxed);
+        let hdrs: Vec<&BlockHeader> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, _))| {
+                // SAFETY: fresh blocks.
+                unsafe {
+                    BlockHeader::init(p as *mut BlockHeader, i as u32, 0);
+                    &*(p as *const BlockHeader)
+                }
+            })
+            .collect();
+        // b0 -> b1 -> b2 -> b3 -> null.
+        let head = link_chain(&hdrs);
 
-        let mut list = FreeList::new();
+        let mut list = BlockList::new();
         // SAFETY: chain is valid and exclusively ours.
-        unsafe { list.adopt_chain(blocks[0].0 as usize) };
+        unsafe { list.adopt_chain(head) };
         assert_eq!(list.len(), 4);
+        let owners: Vec<u32> = std::iter::from_fn(|| list.pop()).map(|h| h.owner).collect();
+        assert_eq!(owners, [3, 2, 1, 0], "the chain's last block pops first");
         for (p, layout) in blocks {
             // SAFETY: allocated in this test.
             unsafe { dealloc(p, layout) };
         }
+    }
+
+    /// `n` blocks of a `Sys` pool, by header; return them with
+    /// [`free_blocks`].
+    fn sys_blocks(n: usize) -> (Arc<dyn PoolAllocator>, Vec<&'static BlockHeader>) {
+        let a = build_allocator(AllocatorKind::Sys, 1, CostModel::zero());
+        let blocks = (0..n)
+            // SAFETY: a live block of `a`.
+            .map(|_| unsafe { BlockHeader::from_user(a.alloc(0, 64)) })
+            .collect();
+        (a, blocks)
+    }
+
+    fn free_blocks(a: &Arc<dyn PoolAllocator>, blocks: Vec<&'static BlockHeader>) {
+        blocks.into_iter().for_each(|h| a.dealloc(0, h.user_ptr()));
+    }
+
+    /// Splices all of `ys` onto `xs` and empties `ys`: `RetiredList::append`.
+    fn append(xs: &mut BlockList, ys: &mut BlockList) {
+        // SAFETY: `ys` is reset right after.
+        unsafe { xs.splice(ys) };
+        *ys = BlockList::new();
+    }
+
+    /// Pops everything off `list`, checking each entry against `model`'s
+    /// front, and returns the blocks to `spare`.
+    fn drain_checked(
+        list: &mut BlockList,
+        model: &mut VecDeque<&'static BlockHeader>,
+        spare: &mut Vec<&'static BlockHeader>,
+    ) {
+        while let Some(want) = model.pop_front() {
+            assert_eq!(list.pop().map(BlockHeader::addr), Some(want.addr()));
+            spare.push(want);
+        }
+        assert!(list.pop().is_none() && list.is_empty());
+    }
+
+    /// A list whose front entry sits on chain `skew`, holding `len` blocks
+    /// taken from `spare` and also pushed onto `model`.
+    fn skewed(
+        skew: usize,
+        len: usize,
+        spare: &mut Vec<&'static BlockHeader>,
+        model: &mut VecDeque<&'static BlockHeader>,
+    ) -> BlockList {
+        let mut list = BlockList::new();
+        for _ in 0..skew {
+            // SAFETY: spare blocks of the test's pool, exclusively ours.
+            unsafe { list.push(spare[0]) };
+            assert_eq!(list.pop().map(BlockHeader::addr), Some(spare[0].addr()));
+        }
+        for _ in 0..len {
+            let h = spare.pop().expect("enough spare blocks");
+            // SAFETY: as above.
+            unsafe { list.push(h) };
+            model.push_back(h);
+        }
+        list
+    }
+
+    #[test]
+    fn stack_matches_a_vec_model_from_every_starting_chain() {
+        const BLOCKS: usize = 40 * WAYS;
+        let (a, mut spare) = sys_blocks(BLOCKS);
+        let mut rng = SplitMix64::new(0x5eed_57ac);
+        for skew in 0..WAYS {
+            let mut list = skewed(skew, 0, &mut spare, &mut VecDeque::new());
+            let mut model: Vec<&'static BlockHeader> = Vec::new();
+            for _ in 0..5_000 {
+                let r = rng.next_u64();
+                match r % 8 {
+                    // Pushes outnumber pops, so the stack runs many laps of
+                    // the ways deep until the spare blocks run out.
+                    0..=3 => {
+                        let Some(h) = spare.pop() else { continue };
+                        // SAFETY: a spare block of `a`, exclusively ours.
+                        unsafe { list.push_front(h) };
+                        model.push(h);
+                    }
+                    4 => {
+                        // A cross-thread chain of 1 to 2 * WAYS + 1 blocks.
+                        let k = (1 + (r >> 8) as usize % (2 * WAYS + 1)).min(spare.len());
+                        let chain = spare.split_off(spare.len() - k);
+                        let head = link_chain(&chain);
+                        // SAFETY: a valid chain of spare blocks, exclusively
+                        // ours.
+                        unsafe { list.adopt_chain(head) };
+                        model.extend(chain);
+                    }
+                    5 if (r >> 40).is_multiple_of(16) => {
+                        while let Some(want) = model.pop() {
+                            assert_eq!(list.pop().map(BlockHeader::addr), Some(want.addr()));
+                            spare.push(want);
+                        }
+                    }
+                    _ => {
+                        let next = list.peek_addr();
+                        let got = list.pop();
+                        assert_eq!(next, got.map(BlockHeader::addr), "peek names the pop");
+                        assert_eq!(next, model.pop().map(BlockHeader::addr));
+                        spare.extend(got);
+                    }
+                }
+                assert_eq!(list.len(), model.len(), "skew {skew}");
+                assert_eq!(list.is_empty(), model.is_empty());
+            }
+            while let Some(want) = model.pop() {
+                assert_eq!(list.peek_addr(), Some(want.addr()));
+                assert_eq!(list.pop().map(BlockHeader::addr), Some(want.addr()));
+                spare.push(want);
+            }
+            assert!(list.pop().is_none() && list.peek_addr().is_none());
+        }
+        assert_eq!(spare.len(), BLOCKS);
+        free_blocks(&a, spare);
+    }
+
+    #[test]
+    fn append_splices_in_order_and_empties_source() {
+        let (a, mut spare) = sys_blocks(6 * WAYS);
+        let lens = 1..=2 * WAYS + 1;
+        // Every offset of either list's front chain, every length of
+        // either list modulo the ways, and lists more than two laps long.
+        for (skew_a, skew_b) in (0..WAYS).flat_map(|x| (0..WAYS).map(move |y| (x, y))) {
+            for (len_a, len_b) in lens.clone().flat_map(|x| lens.clone().map(move |y| (x, y))) {
+                let mut model = VecDeque::new();
+                let mut front = skewed(skew_a, len_a, &mut spare, &mut model);
+                let mut back = skewed(skew_b, len_b, &mut spare, &mut model);
+                append(&mut front, &mut back);
+                assert!(back.is_empty() && back.pop().is_none());
+                assert_eq!(front.len(), len_a + len_b);
+                drain_checked(&mut front, &mut model, &mut spare);
+            }
+        }
+        // Empty into empty is a no-op; appending onto an emptied list
+        // re-links its chains.
+        let (mut front, mut single) = (BlockList::new(), BlockList::new());
+        append(&mut front, &mut BlockList::new());
+        assert!(front.is_empty() && front.pop().is_none());
+        // SAFETY: spare blocks of `a`, exclusively ours.
+        unsafe {
+            front.push(spare[1]);
+            single.push(spare[0]);
+        }
+        assert_eq!(front.pop().map(BlockHeader::addr), Some(spare[1].addr()));
+        append(&mut front, &mut single);
+        assert_eq!(front.len(), 1);
+        assert_eq!(front.pop().map(BlockHeader::addr), Some(spare[0].addr()));
+        free_blocks(&a, spare);
+    }
+
+    #[test]
+    fn matches_a_deque_model_over_random_operations() {
+        const BLOCKS: usize = 40 * WAYS;
+        let (a, mut spare) = sys_blocks(BLOCKS);
+        let (mut xs, mut ys) = (BlockList::new(), BlockList::new());
+        let (mut mx, mut my) = (VecDeque::new(), VecDeque::new());
+        let mut rng = SplitMix64::new(0x5eed_1157);
+        for _ in 0..20_000 {
+            let r = rng.next_u64();
+            // One step in four works on ys, the rest on xs.
+            let (list, model) = if (r >> 32).is_multiple_of(4) {
+                (&mut ys, &mut my)
+            } else {
+                (&mut xs, &mut mx)
+            };
+            match r % 10 {
+                // Pushes outnumber pops, so the lists run many laps of the
+                // ways long until the spare blocks run out.
+                0..=3 => {
+                    let Some(h) = spare.pop() else { continue };
+                    // SAFETY: a spare block of `a`, exclusively ours.
+                    unsafe { list.push(h) };
+                    model.push_back(h);
+                }
+                4 => {
+                    let Some(h) = spare.pop() else { continue };
+                    // SAFETY: as above.
+                    unsafe { list.push_front(h) };
+                    model.push_front(h);
+                }
+                5 | 6 => {
+                    let got = list.pop();
+                    assert_eq!(
+                        got.map(BlockHeader::addr),
+                        model.pop_front().map(BlockHeader::addr)
+                    );
+                    spare.extend(got);
+                }
+                7 if (r >> 40).is_multiple_of(8) => drain_checked(list, model, &mut spare),
+                7 => {
+                    append(&mut xs, &mut ys);
+                    mx.extend(my.drain(..));
+                    assert!(ys.is_empty() && ys.pop().is_none());
+                }
+                8 => {
+                    // ys becomes xs ++ ys through `take`.
+                    let mut taken = std::mem::take(&mut xs);
+                    assert!(xs.is_empty() && xs.pop().is_none());
+                    append(&mut taken, &mut ys);
+                    ys = taken;
+                    my = mx.drain(..).chain(my.drain(..)).collect();
+                }
+                _ => {
+                    // Keep a pseudo-random half of xs, chosen by address,
+                    // and move the rest onto ys: a reclamation scan's
+                    // partition, relinked in place.
+                    let salt = r >> 8;
+                    let keep = |h: &BlockHeader| {
+                        (h.user_ptr().as_ptr() as u64 >> 4 ^ salt)
+                            .count_ones()
+                            .is_multiple_of(2)
+                    };
+                    let mut kept = BlockList::new();
+                    while let Some(h) = xs.pop() {
+                        let target = if keep(h) { &mut kept } else { &mut ys };
+                        // SAFETY: popped from xs, so still exclusively ours.
+                        unsafe { target.push(h) };
+                    }
+                    append(&mut xs, &mut kept);
+                    let (kept, moved): (VecDeque<_>, VecDeque<_>) =
+                        mx.drain(..).partition(|&h| keep(h));
+                    mx = kept;
+                    my.extend(moved);
+                }
+            }
+            assert_eq!((xs.len(), ys.len()), (mx.len(), my.len()));
+            assert_eq!(
+                (xs.is_empty(), ys.is_empty()),
+                (mx.is_empty(), my.is_empty())
+            );
+        }
+        drain_checked(&mut xs, &mut mx, &mut spare);
+        drain_checked(&mut ys, &mut my, &mut spare);
+        assert_eq!(spare.len(), BLOCKS);
+        free_blocks(&a, spare);
     }
 }

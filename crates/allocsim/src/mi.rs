@@ -11,7 +11,7 @@
 //! *same page*. This is why "MImalloc sidesteps the problem altogether"
 //! (§3.3, Table 3) and why amortized freeing does not help it.
 
-use crate::block::{prefetch_span, span_bytes, BlockHeader, FreeList};
+use crate::block::{prefetch_span, span_bytes, BlockHeader, BlockList};
 use crate::chunks::ChunkStore;
 use crate::classes::{class_of, NUM_CLASSES};
 use crate::stats::{AllocSnapshot, PerThread, ThreadAllocStats};
@@ -34,7 +34,7 @@ struct Page {
     /// Owning thread; only this thread touches `local` and `bump`.
     owner_tid: u32,
     /// Local free list — owner-only, unsynchronized.
-    local: UnsafeCell<FreeList>,
+    local: UnsafeCell<BlockList>,
     /// Cross-thread free list head (Treiber stack of header addrs).
     thread_free: AtomicUsize,
     /// Bump state within the page region — owner-only.
@@ -66,21 +66,6 @@ impl Page {
                 }
             }
         }
-    }
-
-    /// Owner-only: collects the cross-thread list into the local list.
-    ///
-    /// # Safety
-    /// Must be called by the owning thread only.
-    unsafe fn collect(&self) -> bool {
-        let head = self.thread_free.swap(0, Ordering::Acquire);
-        if head == 0 {
-            return false;
-        }
-        // SAFETY: owner-only access to `local`; the swapped chain is
-        // exclusively ours now.
-        unsafe { (*self.local.get()).adopt_chain(head) };
-        true
     }
 
     /// Owner-only: the header address of the class-`class` block this page
@@ -159,7 +144,7 @@ impl MiModel {
         assert!(id < MAX_PAGES, "page registry exhausted");
         let page = Box::new(Page {
             owner_tid: tid as u32,
-            local: UnsafeCell::new(FreeList::new()),
+            local: UnsafeCell::new(BlockList::new()),
             thread_free: AtomicUsize::new(0),
             bump: UnsafeCell::new((region, region + PAGE_BYTES)),
         });
@@ -175,14 +160,13 @@ impl MiModel {
         let page = self.page(id);
         // SAFETY: owner-only.
         let local = unsafe { &mut *page.local.get() };
+        if local.is_empty() {
+            // Collect the cross-thread list (`adopt_chain(0)` is a no-op).
+            // SAFETY: the swapped chain is exclusively ours now.
+            unsafe { local.adopt_chain(page.thread_free.swap(0, Ordering::Acquire)) };
+        }
         if let Some(h) = local.pop() {
             return Some(h);
-        }
-        // SAFETY: owner-only.
-        if unsafe { page.collect() } {
-            if let Some(h) = local.pop() {
-                return Some(h);
-            }
         }
         // Bump within the page region.
         let stride = span_bytes(class);
@@ -284,7 +268,7 @@ impl PoolAllocator for MiModel {
         let page = self.page(hdr.owner);
         if page.owner_tid == tid as u32 {
             // SAFETY: we are the owner; local list is ours.
-            unsafe { (*page.local.get()).push(hdr) };
+            unsafe { (*page.local.get()).push_front(hdr) };
         } else {
             // The mimalloc trick: remote free = one CAS, no lock, contention
             // only on simultaneous frees to the *same page*.

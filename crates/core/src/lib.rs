@@ -119,7 +119,8 @@ pub trait RawSmr: Send + Sync {
     /// Grace-period schemes treat detached threads as permanently
     /// quiescent so stragglers cannot block reclamation; Token-EBR removes
     /// the thread from the ring, forwarding any held token. Call outside
-    /// any operation; the tid must not run further operations.
+    /// any operation; the tid must not run further operations until it
+    /// registers again.
     fn detach(&self, tid: Tid);
 
     /// Teardown: with all worker threads quiescent, frees every object
@@ -127,8 +128,9 @@ pub trait RawSmr: Send + Sync {
     /// no concurrent data-structure access.
     fn quiesce_and_drain(&self);
 
-    /// The scheme's per-thread fast path for `tid`, captured by
-    /// [`Smr::register`]; it selects the protocol
+    /// The scheme's per-thread fast path for `tid`, captured by each
+    /// [`Smr::register`] before the tid's first operation (Token-EBR
+    /// re-admits a detached tid to its ring here); it selects the protocol
     /// [`OpGuard::protect_load`] runs for this scheme. The default —
     /// [`SchemeLocal::passive`] — is right for every scheme whose grace
     /// period covers the whole operation (epoch/token/QSBR/leak).

@@ -29,7 +29,7 @@ use crate::common::SchemeCommon;
 use crate::config::{FreeMode, SmrConfig};
 use crate::retired::RetiredList;
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
-use crate::{RawSmr, SmrKind};
+use crate::{RawSmr, SchemeLocal, SmrKind};
 
 use epic_alloc::{PoolAllocator, Tid};
 use epic_timeline::EventKind;
@@ -54,6 +54,8 @@ pub struct TokenSmr {
     tokens: Box<[CachePadded<AtomicU64>]>,
     /// Ring membership: detached threads are skipped when passing.
     detached: Box<[CachePadded<AtomicBool>]>,
+    /// Tokens passed while no thread was in the ring.
+    parked: AtomicU64,
     threads: TidSlots<TokenThread>,
 }
 
@@ -78,6 +80,7 @@ impl TokenSmr {
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
+            parked: AtomicU64::new(0),
             threads: TidSlots::new_with(n, |_| TokenThread {
                 current: RetiredList::new(),
                 previous: RetiredList::new(),
@@ -87,9 +90,8 @@ impl TokenSmr {
         }
     }
 
-    /// Passes the token to the next live thread in the ring; a token is
-    /// dropped when every other thread has detached (the ring is dissolving
-    /// at workload shutdown, where `quiesce_and_drain` takes over).
+    /// Passes the token to the next live thread in the ring, or, if every
+    /// thread has detached, parks it for the next to register again.
     ///
     /// A hand-off that wraps (`next <= tid`) closes one lap of the *live*
     /// ring: that is the global "epoch", counted by whichever thread closes
@@ -98,22 +100,29 @@ impl TokenSmr {
     /// count, the x value of the mark and the garbage sample.
     #[inline]
     fn pass(&self, tid: Tid, epoch: u64) {
-        let n = self.tokens.len();
-        let mut next = (tid + 1) % n;
-        let mut hops = 0;
-        while self.detached[next].load(Ordering::Acquire) {
-            next = (next + 1) % n;
-            hops += 1;
-            if hops >= n {
-                return;
+        let Some(next) = self.next_member(tid) else {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            // A thread that rejoined since the scan found nothing parked.
+            if let Some(next) = self.next_member(tid) {
+                let parked = self.parked.swap(0, Ordering::SeqCst);
+                self.tokens[next].fetch_add(parked, Ordering::Release);
             }
-        }
+            return;
+        };
         // Release: the passing thread's bag swap must be visible before the
         // receiver observes the token.
         self.tokens[next].fetch_add(1, Ordering::Release);
         if next <= tid {
             self.common.record_epoch_advance(tid, epoch);
         }
+    }
+
+    /// The first live member after `tid` (itself last); SeqCst: see `local`.
+    fn next_member(&self, tid: Tid) -> Option<Tid> {
+        let n = self.tokens.len();
+        (1..=n)
+            .map(|hop| (tid + hop) % n)
+            .find(|&t| !self.detached[t].load(Ordering::SeqCst))
     }
 
     /// True if `tid` currently holds (at least) one token.
@@ -229,15 +238,26 @@ impl RawSmr for TokenSmr {
     fn detach(&self, tid: Tid) {
         self.detached[tid].store(true, Ordering::SeqCst);
         // Forward tokens already delivered to us so the ring keeps moving.
-        // (A pass racing with this store may still strand a token here;
-        // that only loses epochs at shutdown, never safety, and
-        // quiesce_and_drain reclaims everything regardless.)
+        // (A pass racing with this store may still strand a token here
+        // until this tid registers again; at shutdown that only loses
+        // epochs, and quiesce_and_drain reclaims everything regardless.)
         // SAFETY: detach is called by the owning thread (tid contract).
         let state = unsafe { self.threads.get_mut(tid) };
         while self.holds_token(tid, state.consumed) {
             state.consumed += 1;
             self.pass(tid, state.epochs_entered);
         }
+    }
+
+    fn local(&self, tid: Tid) -> SchemeLocal {
+        // Registering (again) rejoins the ring before the first operation.
+        // SeqCst here and on `next_member`'s load, or this store could sit
+        // in the store buffer while we load a node that a passer unlinks,
+        // reads us as detached and closes a lap without us.
+        self.detached[tid].store(false, Ordering::SeqCst);
+        let parked = self.parked.swap(0, Ordering::SeqCst);
+        self.tokens[tid].fetch_add(parked, Ordering::Release);
+        SchemeLocal::passive()
     }
 
     fn quiesce_and_drain(&self) {
@@ -427,6 +447,34 @@ mod tests {
     #[test]
     fn periodic_laps_count_after_tid0_detaches() {
         laps_count_after_tid0_detaches(SmrKind::TokenPeriodic);
+    }
+
+    /// Both tids detach, tid 1 last (its pass finds nobody and parks the
+    /// token); tid 0 registers again and reclamation resumes, whoever
+    /// held the token.
+    #[test]
+    fn ring_resumes_when_one_tid_rejoins_after_all_left() {
+        for kind in [
+            SmrKind::TokenNaive,
+            SmrKind::TokenPassFirst,
+            SmrKind::TokenPeriodic,
+        ] {
+            let (alloc, raw) = setup(2, kind, FreeMode::Batch);
+            let smr = crate::Smr::from_raw(Arc::clone(&raw) as Arc<dyn RawSmr>);
+            let (h0, h1) = (smr.register(0), smr.register(1));
+            for _ in 0..4 {
+                churn(&alloc, &raw, 0, 1);
+                churn(&alloc, &raw, 1, 1);
+            }
+            h0.detach();
+            h1.detach();
+            let _h0 = smr.register(0);
+            let before = raw.stats().freed;
+            churn(&alloc, &raw, 0, 10);
+            assert!(raw.stats().freed > before, "{kind:?}: {:?}", raw.stats());
+            raw.quiesce_and_drain();
+            assert_eq!(raw.stats().garbage, 0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -409,6 +409,32 @@ mod tests {
         assert!(r.smr.retired > 0);
     }
 
+    /// Token-EBR under handle churn: a tid that detaches and registers
+    /// again rejoins the ring, so reclamation keeps pace with retirement.
+    /// A ring that skipped churned tids for good would stop once both had
+    /// churned, freeing about 1 % of the retired blocks. A 100-ms trial
+    /// keeps the blocks still in limbo at the stop a small share even when
+    /// a loaded machine parks one thread, and with it the token, for tens
+    /// of ms.
+    #[test]
+    fn token_ring_keeps_reclaiming_under_churn() {
+        for smr in [
+            SmrKind::TokenNaive,
+            SmrKind::TokenPassFirst,
+            SmrKind::TokenPeriodic,
+        ] {
+            let mut cfg = quick(TreeKind::Ab, smr).with_churn(512);
+            cfg.millis = 100;
+            let r = run_trial(&cfg);
+            let (retired, freed) = (r.smr.retired, r.smr.freed);
+            assert!(retired >= 2_000, "{smr:?}: {retired} retired");
+            assert!(
+                freed * 2 >= retired,
+                "{smr:?}: {freed} of {retired} retired blocks freed"
+            );
+        }
+    }
+
     /// The determinism contract that replay-from-provenance relies on
     /// must survive every scenario knob at once: skewed keys, churn and
     /// an explicit seed.
